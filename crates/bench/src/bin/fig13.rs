@@ -15,9 +15,12 @@
 
 use bench::cli;
 use bench::{print_table, scale, speedup, Scale};
+use distsim::{DistCsr, SerialComm};
 use perfmodel::{solver_time, MachineModel, ProblemSpec, SchemeKind};
-use sparse::{laplace2d_9pt, Laplace2d9ptRows};
-use ssgmres::{standard_gmres_config, GmresConfig, MulticolorGaussSeidel, OrthoKind, SStepGmres};
+use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows, RowSource};
+use ssgmres::{
+    standard_gmres_config, GmresConfig, Identity, MulticolorGaussSeidel, OrthoKind, SStepGmres,
+};
 
 fn main() {
     let args = match cli::parse_matrix_args(std::env::args().skip(1)) {
@@ -96,9 +99,14 @@ fn main() {
             },
         };
         let solver = SStepGmres::new(config);
-        let (_, plain) = match &stencil {
-            Some(rows) => solver.solve_serial_from_rows(rows, &b),
-            None => solver.solve_serial(&a, &b),
+        let plain = match &stencil {
+            Some(rows) => {
+                let part = block_row_partition(rows.nrows(), 1);
+                let dist = DistCsr::from_row_source(SerialComm::new(), &part, rows);
+                let mut x = vec![0.0; rows.nrows()];
+                solver.solve(&dist, &Identity, &b, &mut x)
+            }
+            None => solver.solve_serial(&a, &b).1,
         };
         let (_, precond) = solver.solve_serial_preconditioned(&a, &b, &gs);
         measured.push(vec![

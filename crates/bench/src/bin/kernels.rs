@@ -22,7 +22,10 @@
 //! machines with ≥ 2 hardware threads — if the widest-thread blocked
 //! `gram`/`gemm_tn` rows fail to beat their 1-thread times.  On a single
 //! hardware thread real scaling is impossible, so the check instead bounds
-//! pool dispatch overhead.
+//! pool dispatch overhead.  The ratios the check reads (fused vs separate,
+//! multi-thread `gram`/`gemm_tn` vs 1 thread) are paired medians over 25
+//! (quick) or 41 interleaved pairs, not ratios of two best-of-k samples,
+//! so one noisy moment of the host cannot decide the gate.
 
 use dense::Matrix;
 use ssgmres::{GmresConfig, OrthoKind, SStepGmres};
@@ -42,7 +45,9 @@ struct Row {
     bytes_moved: u64,
     /// What `speedup` is measured against (absent for baseline rows).
     baseline: Option<&'static str>,
-    /// `baseline_secs / secs` for the same shape and thread count.
+    /// Speedup over `baseline` for the same shape: `baseline_secs / secs`
+    /// of the best-of-k times for the naive rows, the paired-median ratio
+    /// (see [`paired_median_speedup`]) for the gated scaling and fused rows.
     speedup: Option<f64>,
 }
 
@@ -51,6 +56,53 @@ fn quick() -> bool {
         std::env::var("BENCH_QUICK").as_deref(),
         Ok("1") | Ok("true") | Ok("yes")
     )
+}
+
+/// Median of `pairs` per-pair ratios `base / fast`, each pair timed back to
+/// back by `time_pair` (which returns the two wall times in seconds).
+fn median_ratio(pairs: usize, mut time_pair: impl FnMut() -> (f64, f64)) -> f64 {
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let (base_s, fast_s) = time_pair();
+            base_s / fast_s
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[pairs / 2]
+}
+
+/// Wall time of one call of `f`.
+fn time_once(f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// Paired-median speedup of `fast` over `base`: one untimed warmup call
+/// each, then `pairs` back-to-back `(base, fast)` timings, interleaved so a
+/// slow phase of the host hits both sides of a pair alike, and the median
+/// of the per-pair `base / fast` ratios (the estimator the `faults` bench
+/// uses for guard overhead).  Two best-of-k times taken seconds apart let
+/// one noisy moment decide a gate; the paired median does not.
+fn paired_median_speedup(pairs: usize, mut base: impl FnMut(), mut fast: impl FnMut()) -> f64 {
+    base();
+    fast();
+    median_ratio(pairs, || (time_once(&mut base), time_once(&mut fast)))
+}
+
+/// Paired-median speedup of `f` at `threads` pool lanes over `f` at one.
+/// The pool width is process-global, so each side of a pair first switches
+/// it and makes one untimed call: the timed call then finds its lanes awake
+/// and its chunk bands already assigned, as in a steady run at that width.
+fn thread_speedup(pairs: usize, threads: usize, mut f: impl FnMut()) -> f64 {
+    let mut at_width = |t: usize| {
+        parkit::set_num_threads(t);
+        f();
+        time_once(&mut f)
+    };
+    let speedup = median_ratio(pairs, || (at_width(1), at_width(threads)));
+    parkit::set_num_threads(threads);
+    speedup
 }
 
 /// Best-of-k wall time of `f`, with one untimed warmup call.
@@ -97,6 +149,7 @@ fn push(
     secs: f64,
     flops: f64,
     bytes: u64,
+    // (baseline name, speedup over it)
     baseline: Option<(&'static str, f64)>,
 ) {
     rows.push(Row {
@@ -110,12 +163,19 @@ fn push(
         gflops: flops / secs * 1e-9,
         bytes_moved: bytes,
         baseline: baseline.map(|(name, _)| name),
-        speedup: baseline.map(|(_, base_secs)| base_secs / secs),
+        speedup: baseline.map(|(_, speedup)| speedup),
     });
 }
 
 /// Benchmark the four kernels plus the fused pass on one `n×s` shape.
-fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_counts: &[usize]) {
+fn bench_shape(
+    rows: &mut Vec<Row>,
+    n: usize,
+    s: usize,
+    reps: usize,
+    pairs: usize,
+    thread_counts: &[usize],
+) {
     let v = panel(n, s, 1);
     let q = panel(n, s, 2);
     let r = upper(s);
@@ -194,20 +254,17 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
     );
 
     // 1-thread blocked times, recorded on the first (t == 1) pass and used
-    // as the baseline for the multithread scaling rows.
-    let mut base_gram_s = f64::NAN;
-    let mut base_tn_s = f64::NAN;
+    // as the baseline for the ungated multithread scaling rows (the gated
+    // gram/gemm_tn rows use paired medians instead).
     let mut base_upd_s = f64::NAN;
     let mut base_trsm_s = f64::NAN;
     for &t in thread_counts {
         parkit::set_num_threads(t);
         let single = t == 1;
-        let blocked_gram_s = time_best(reps, || {
+        let gram = || {
             std::hint::black_box(dense::gram(&v.view()));
-        });
-        if single {
-            base_gram_s = blocked_gram_s;
-        }
+        };
+        let blocked_gram_s = time_best(reps, gram);
         push(
             rows,
             "gram",
@@ -220,17 +277,15 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
             gram_flops,
             gram_bytes,
             if single {
-                Some(("naive", naive_gram_s))
+                Some(("naive", naive_gram_s / blocked_gram_s))
             } else {
-                Some(("blocked_1thread", base_gram_s))
+                Some(("blocked_1thread", thread_speedup(pairs, t, gram)))
             },
         );
-        let blocked_tn_s = time_best(reps, || {
+        let gemm_tn = || {
             std::hint::black_box(dense::gemm_tn(&q.view(), &v.view()));
-        });
-        if single {
-            base_tn_s = blocked_tn_s;
-        }
+        };
+        let blocked_tn_s = time_best(reps, gemm_tn);
         push(
             rows,
             "gemm_tn",
@@ -243,9 +298,9 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
             tn_flops,
             tn_bytes,
             if single {
-                Some(("naive", naive_tn_s))
+                Some(("naive", naive_tn_s / blocked_tn_s))
             } else {
-                Some(("blocked_1thread", base_tn_s))
+                Some(("blocked_1thread", thread_speedup(pairs, t, gemm_tn)))
             },
         );
         let blocked_upd_s = time_best(reps, || {
@@ -268,9 +323,9 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
             upd_flops,
             upd_bytes,
             if single {
-                Some(("naive", naive_upd_s))
+                Some(("naive", naive_upd_s / blocked_upd_s))
             } else {
-                Some(("blocked_1thread", base_upd_s))
+                Some(("blocked_1thread", base_upd_s / blocked_upd_s))
             },
         );
         let blocked_trsm_s = time_best(reps, || {
@@ -293,26 +348,28 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
             trsm_flops,
             trsm_bytes,
             if single {
-                Some(("naive", naive_trsm_s))
+                Some(("naive", naive_trsm_s / blocked_trsm_s))
             } else {
-                Some(("blocked_1thread", base_trsm_s))
+                Some(("blocked_1thread", base_trsm_s / blocked_trsm_s))
             },
         );
         // Fused update + [Q W]ᵀW pass vs. the three separate sweeps.
-        let fused_s = time_best(reps, || {
+        let fused = || {
             let mut w = v.clone();
             std::hint::black_box(dense::fused_update_proj_gram(
                 &mut w.view_mut(),
                 &q.view(),
                 &p,
             ));
-        });
-        let separate_s = time_best(reps, || {
+        };
+        let separate = || {
             let mut w = v.clone();
             dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
             std::hint::black_box(dense::gemm_tn(&q.view(), &w.view()));
             std::hint::black_box(dense::gram(&w.view()));
-        });
+        };
+        let fused_s = time_best(reps, fused);
+        let fused_speedup = paired_median_speedup(pairs, separate, fused);
         let fused_flops = upd_flops + tn_flops + gram_flops;
         push(
             rows,
@@ -325,7 +382,7 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
             fused_s,
             fused_flops,
             upd_bytes,
-            Some(("separate_blocked_sweeps", separate_s)),
+            Some(("separate_blocked_sweeps", fused_speedup)),
         );
     }
     parkit::set_num_threads(0);
@@ -458,7 +515,7 @@ fn json_escape_f64(x: f64) -> String {
     }
 }
 
-fn write_json(rows: &[Row], quick: bool) -> String {
+fn write_json(rows: &[Row], quick: bool, pairs: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"kernels\",");
@@ -468,6 +525,8 @@ fn write_json(rows: &[Row], quick: bool) -> String {
     let _ = writeln!(out, "  \"simd\": \"{}\",", dense::simd_label());
     let _ = writeln!(out, "  \"tile\": {},", dense::TILE);
     let _ = writeln!(out, "  \"row_block\": {},", dense::ROW_BLOCK);
+    let _ = writeln!(out, "  \"gate_estimator\": \"paired_median\",");
+    let _ = writeln!(out, "  \"gate_pairs\": {pairs},");
     out.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let speedup = match r.speedup {
@@ -511,6 +570,7 @@ fn main() {
     bench::cli::start_tracing(&trace_out);
     let quick = quick();
     let reps = if quick { 3 } else { 10 };
+    let pairs = if quick { 25 } else { 41 };
     // Thread sweep: 1 plus powers of two up to the pool width, so the
     // row-parallel TRSM's scaling is visible in the JSON on multi-core
     // machines (on a single hardware thread the >1 rows exercise the pool
@@ -530,7 +590,7 @@ fn main() {
     let mut rows = Vec::new();
     for &(n, s) in shapes {
         eprintln!("benchmarking {n}x{s} panels ...");
-        bench_shape(&mut rows, n, s, reps, &thread_counts);
+        bench_shape(&mut rows, n, s, reps, pairs, &thread_counts);
     }
     eprintln!("benchmarking one s-step GMRES iteration ...");
     bench_gmres_iteration(&mut rows, quick, &thread_counts);
@@ -560,7 +620,7 @@ fn main() {
         .collect();
     bench::print_table("kernel baselines", &header, &table);
 
-    let json = write_json(&rows, quick);
+    let json = write_json(&rows, quick, pairs);
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     eprintln!("wrote BENCH_kernels.json ({} rows)", rows.len());
 

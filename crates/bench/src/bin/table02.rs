@@ -10,9 +10,10 @@
 //!     the analytic Vortex machine model.
 
 use bench::{print_table, scale, secs, speedup, Scale};
+use distsim::{DistCsr, SerialComm};
 use perfmodel::{solver_time, MachineModel, ProblemSpec, SchemeKind};
-use sparse::{laplace2d_5pt, Csr, Laplace2d5ptRows};
-use ssgmres::{standard_gmres_config, GmresConfig, OrthoKind, SStepGmres, SolveResult};
+use sparse::{block_row_partition, laplace2d_5pt, Csr, Laplace2d5ptRows, RowSource};
+use ssgmres::{standard_gmres_config, GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
 
 fn main() {
     let args = match bench::cli::parse_matrix_args(std::env::args().skip(1)) {
@@ -57,13 +58,17 @@ fn main() {
             Some(_) => SStepGmres::new(config).solve_serial(&a, &b),
             // Surrogate mode streams the operator from its row provider, so
             // no global matrix is materialized for the solve itself.
-            None => SStepGmres::new(config).solve_serial_from_rows(
-                &Laplace2d5ptRows {
+            None => {
+                let rows = Laplace2d5ptRows {
                     nx: nx_small,
                     ny: nx_small,
-                },
-                &b,
-            ),
+                };
+                let part = block_row_partition(rows.nrows(), 1);
+                let dist = DistCsr::from_row_source(SerialComm::new(), &part, &rows);
+                let mut x = vec![0.0; rows.nrows()];
+                let result = SStepGmres::new(config).solve(&dist, &Identity, &b, &mut x);
+                (x, result)
+            }
         };
         let err = x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max);
         measured.push(vec![

@@ -11,14 +11,21 @@
 //! the *unchanged* [`blockortho`] schemes and fused
 //! `proj_and_gram`/`update_and_gram` kernels — the per-cycle reduce
 //! **count** is independent of `k` (panel cadence is preserved by
-//! [`OrthoKind::for_block_width`]) while each reduce carries the k-scaled
-//! payload.  Reduces are paid per *batch*, not per RHS.
+//! [`OrthoKind::for_block_width`](blockortho::OrthoKind::for_block_width))
+//! while each reduce carries the k-scaled payload.  Reduces are paid per
+//! *batch*, not per RHS.
 //!
-//! **Single-RHS equivalence.**  At `k = 1` every operation below is the
-//! identical kernel call, in the identical order, with the identical
-//! operands as [`SStepGmres::solve`] — the solve is **bitwise identical**
-//! including `relres_history`, `step_history`, and the full
-//! [`CommStatsSnapshot`] (pinned by `tests/block_equivalence.rs`).
+//! **Single-RHS solves.**  This is the only restarted s-step cycle in the
+//! crate: [`SStepGmres::solve`] wraps its vectors as `nloc × 1` blocks and
+//! calls [`SStepGmres::solve_block`], the way phist's `bgmres` treats the
+//! number of right-hand sides as just `size(B, 2)`.  At one active column
+//! the cycle keeps the single-RHS conventions — the β·e₁ least-squares
+//! right-hand side, the one-word norm reduce of `global_norm`, and the
+//! full guard/rollback ladder.  The committed goldens of
+//! `tests/solve_goldens.rs` pin a single-RHS solve's solution bits,
+//! `relres_history`, `step_history` and full [`CommStatsSnapshot`].  Its
+//! [`CycleHealth::kappa_per_col`] holds the one column's estimate (bitwise
+//! `kappa_est`).
 //!
 //! **Deflation.**  Convergence is tracked per column ("On the backward
 //! stability of s-step GMRES", arXiv 2409.03079, motivates the per-column
@@ -35,26 +42,23 @@
 //! band Hessenberg of a wide block is not in the Hessenberg form the
 //! double-shift QR eigensolver consumes); `Newton`/`Scheduled` shifts
 //! apply per block step for every width.  Detection guards screen Gram
-//! reduces and checksum halos for any width, but the agreement probe and
-//! the full poison/rollback ladder stay single-RHS (`k = 1` runs the
-//! scalar guard path verbatim).
+//! reduces and checksum halos for any width; the agreement probe stages
+//! the largest active residual norm.
 
 use crate::basis::{BasisStrategy, KrylovBasis};
-use crate::control::{self, CycleHealth, StepController};
+use crate::control::{self, CycleHealth, StepController, StepPolicy};
 use crate::hessenberg::HessenbergRecovery;
 use crate::precond::{Identity, Preconditioner};
 use crate::shifts;
-use crate::solver::{
-    apply_rescue_basis, build_health, compute_residual, cycle_fault_delta, global_norm, SStepGmres,
-};
+use crate::solver::SStepGmres;
 use crate::timing::{CycleClock, CycleTiming, Phase};
-use blockortho::make_orthogonalizer_with_sketch;
+use blockortho::{make_orthogonalizer_with_sketch, FallbackEvent};
 use dense::Matrix;
 use distsim::{
-    fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardEvent,
-    SerialComm,
+    fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardCounts,
+    GuardEvent, SerialComm,
 };
-use sparse::{block_row_partition, Csr, RowPartition, RowSource};
+use sparse::{block_row_partition, Csr};
 use std::sync::Arc;
 
 /// Per-solve options of the block path that have no [`crate::GmresConfig`]
@@ -63,8 +67,8 @@ use std::sync::Arc;
 pub struct BlockOptions {
     /// Absolute per-column convergence targets on `‖b_j − A·x_j‖₂`.
     ///
-    /// `None` (the default) uses the relative criterion of the scalar
-    /// solver per column: `tol · ‖r₀_j‖`.  Explicit targets make a
+    /// `None` (the default) uses the relative criterion per column:
+    /// `tol · ‖r₀_j‖`.  Explicit targets make a
     /// continued solve comparable to a warm-started one — the deflation
     /// property tests use them to align thresholds across runs.
     pub abs_targets: Option<Vec<f64>>,
@@ -98,8 +102,8 @@ pub struct BlockSolveResult {
     pub comm_ortho: CommStatsSnapshot,
     /// True relative residual per column after each restart cycle the
     /// column was **active** in (a deflated column's history simply stops
-    /// growing).  `relres_history[j]` of a `k = 1` solve is bitwise the
-    /// scalar solver's `relres_history`.
+    /// growing).  For a one-column solve, `relres_history[0]` is
+    /// [`crate::SolveResult::relres_history`].
     pub relres_history: Vec<Vec<f64>>,
     /// Number of completed restart cycles after which each column left the
     /// active block (`Some(0)` = converged before the first cycle; `None` =
@@ -145,7 +149,7 @@ impl SStepGmres {
     /// (`nloc × k`; `x_local` is the initial guess and is overwritten).
     /// One MPK pass, one orthogonalization panel, and one all-reduce serve
     /// all `k` columns; converged columns deflate out at restart
-    /// boundaries.  At `k = 1` this is bitwise [`SStepGmres::solve`].
+    /// boundaries.  [`SStepGmres::solve`] is the `k = 1` case.
     pub fn solve_block(
         &self,
         a: &DistCsr,
@@ -197,7 +201,7 @@ impl SStepGmres {
         let mut relres_history: Vec<Vec<f64>> = vec![Vec::new(); kb];
         // Aggregate (max over active columns) relative residual per cycle:
         // the block-level signal stagnation detection runs on.  At k = 1
-        // it is exactly the scalar relres_history.
+        // it is exactly the column's own relres history.
         let mut agg_relres_history: Vec<f64> = Vec::new();
         let mut last_harvest: Option<Vec<f64>> = None;
         let mut ortho_fallbacks = 0usize;
@@ -213,20 +217,20 @@ impl SStepGmres {
         // Columns still in the active block, in ascending original order.
         let mut active: Vec<usize> = (0..kb).collect();
 
-        // Initial residual block and per-column norms (one k-word reduce —
-        // the k = 1 case is the scalar solver's single-word norm reduce).
+        // Initial residual block and per-column norms (one k-word reduce;
+        // a single column pays the one-word norm reduce).
         fault::set_phase("residual");
-        let mut residuals: Vec<Vec<f64>> = (0..kb)
-            .map(|j| {
-                compute_residual(
-                    a,
-                    x_local.col(j),
-                    b_local.col(j),
-                    &mut spmv_count,
-                    guard.as_deref(),
-                )
-            })
-            .collect();
+        let mut residuals: Vec<Vec<f64>> = vec![vec![0.0; nloc]; kb];
+        for (j, r) in residuals.iter_mut().enumerate() {
+            compute_residual(
+                a,
+                x_local.col(j),
+                b_local.col(j),
+                r,
+                &mut spmv_count,
+                guard.as_deref(),
+            );
+        }
         let r0_norms = block_norms(&residuals, &active, comm.as_ref(), guard.as_deref());
         let mut gammas: Vec<f64> = r0_norms.clone();
         if r0_norms.iter().all(|&v| v == 0.0) {
@@ -285,7 +289,7 @@ impl SStepGmres {
 
         'outer: while restarts < config.max_restarts && iterations < config.max_iters {
             // Columns already at target leave the block before the cycle
-            // starts (the scalar loop-top convergence check).
+            // starts.
             deflate_converged(
                 &mut active,
                 &gammas,
@@ -358,7 +362,8 @@ impl SStepGmres {
             clock.lap(Phase::Ortho);
             let mut cycle_breakdown: Option<String> = None;
             if let Err(e) = first {
-                let msg = format!("initial block: {e}");
+                let what = if ka == 1 { "column" } else { "block" };
+                let msg = format!("initial {what}: {e}");
                 breakdown = Some(msg.clone());
                 let faults = cycle_fault_delta(&guard, &fault_base);
                 if let Some(ctx) = &guard {
@@ -458,8 +463,8 @@ impl SStepGmres {
                         &current_basis,
                     );
                     let done = if ka == 1 {
-                        // Scalar convention (β·e₁ right-hand side), bitwise
-                        // the single-RHS solver.
+                        // Single-RHS convention: β·e₁ right-hand side of
+                        // the square Hessenberg least squares.
                         let (_, res_est) = hess.least_squares(finalized - 1, gammas[active[0]]);
                         res_est <= targets[active[0]]
                     } else {
@@ -587,8 +592,8 @@ impl SStepGmres {
                 &current_basis,
             );
             // Ritz-shift harvesting consumes a square Hessenberg block, so
-            // it runs once the active block is one column wide (where it is
-            // bitwise the scalar path); wide blocks skip it.
+            // it runs once the active block is one column wide; wide blocks
+            // skip it.
             let (cap, rtol, min_h) = match &config.basis {
                 BasisStrategy::Adaptive(a) => (
                     if a.max_shifts == 0 {
@@ -659,10 +664,11 @@ impl SStepGmres {
                 let _sp = trace::span("solver", "residual");
                 fault::set_phase("residual");
                 for &j in &active {
-                    residuals[j] = compute_residual(
+                    compute_residual(
                         a,
                         x_local.col(j),
                         b_local.col(j),
+                        &mut residuals[j],
                         &mut spmv_count,
                         guard.as_deref(),
                     );
@@ -719,8 +725,7 @@ impl SStepGmres {
                 );
             }
             cycle_timings.push(clock.finish());
-            // Deflate at the restart boundary (the scalar bottom-of-cycle
-            // convergence break).
+            // Deflate at the restart boundary.
             let width_before = active.len();
             deflate_converged(
                 &mut active,
@@ -757,7 +762,7 @@ impl SStepGmres {
                 r_factor = Matrix::zeros(ka * (mb + 1), ka * (mb + 1));
             }
         }
-        // Trailing convergence sweep (the scalar `if gamma <= target`).
+        // Trailing convergence sweep.
         deflate_converged(
             &mut active,
             &gammas,
@@ -818,57 +823,15 @@ impl SStepGmres {
         }
     }
 
-    /// Block solve with the operator assembled from a **row provider** (the
-    /// block analogue of [`SStepGmres::solve_from_rows`]): no rank ever
-    /// materializes the global matrix.
-    pub fn solve_block_from_rows<S: RowSource>(
-        &self,
-        comm: Arc<dyn Communicator>,
-        part: &RowPartition,
-        rows: &S,
-        precond: &dyn Preconditioner,
-        b_local: &Matrix,
-        x_local: &mut Matrix,
-    ) -> BlockSolveResult {
-        let dist = DistCsr::from_row_source(comm, part, rows);
-        self.solve_block(&dist, precond, b_local, x_local)
-    }
-
     /// Solve `A·X = B` on a single rank from `X = 0`, without a
     /// preconditioner.  `b_cols` holds one right-hand side per entry;
     /// returns the solution block (`n × k`) and the solve statistics.
     pub fn solve_block_serial(&self, a: &Csr, b_cols: &[Vec<f64>]) -> (Matrix, BlockSolveResult) {
-        self.solve_block_serial_preconditioned(a, b_cols, &Identity)
-    }
-
-    /// [`solve_block_serial`](Self::solve_block_serial) with a right
-    /// preconditioner.
-    pub fn solve_block_serial_preconditioned(
-        &self,
-        a: &Csr,
-        b_cols: &[Vec<f64>],
-        precond: &dyn Preconditioner,
-    ) -> (Matrix, BlockSolveResult) {
-        let comm = SerialComm::new();
         let part = block_row_partition(a.nrows(), 1);
-        let dist = DistCsr::from_global(comm, a, &part);
+        let dist = DistCsr::from_global(SerialComm::new(), a, &part);
         let b = cols_to_matrix(a.nrows(), b_cols);
         let mut x = Matrix::zeros(a.nrows(), b_cols.len());
-        let result = self.solve_block(&dist, precond, &b, &mut x);
-        (x, result)
-    }
-
-    /// Single-rank block solve streamed from a row provider.
-    pub fn solve_block_serial_from_rows<S: RowSource>(
-        &self,
-        rows: &S,
-        b_cols: &[Vec<f64>],
-    ) -> (Matrix, BlockSolveResult) {
-        let comm = SerialComm::new();
-        let part = block_row_partition(rows.nrows(), 1);
-        let b = cols_to_matrix(rows.nrows(), b_cols);
-        let mut x = Matrix::zeros(rows.nrows(), b_cols.len());
-        let result = self.solve_block_from_rows(comm, &part, rows, &Identity, &b, &mut x);
+        let result = self.solve_block(&dist, &Identity, &b, &mut x);
         (x, result)
     }
 }
@@ -885,9 +848,9 @@ fn cols_to_matrix(nloc: usize, cols: &[Vec<f64>]) -> Matrix {
 }
 
 /// Global 2-norms of the active residual columns in **one** all-reduce of
-/// `active.len()` words.  At one active column this delegates to the scalar
-/// solver's [`global_norm`] — including its guarded-reduce path — so a
-/// `k = 1` block solve is bitwise the single-RHS solve.
+/// `active.len()` words.  At one active column this delegates to the
+/// single-vector [`global_norm`] — including its guarded-reduce path — so a
+/// single-RHS solve pays exactly one one-word norm reduce per residual.
 fn block_norms(
     residuals: &[Vec<f64>],
     active: &[usize],
@@ -972,12 +935,150 @@ fn deflate_converged(
     });
 }
 
+/// Assemble a [`CycleHealth`] report from a finished cycle's raw signals.
+/// Non-Auto policies assess with [`control::AutoStep::default`] thresholds
+/// so `health_history` reads the same everywhere.
+#[allow(clippy::too_many_arguments)]
+fn build_health(
+    policy: &StepPolicy,
+    cycle: usize,
+    step: usize,
+    usable_cols: usize,
+    kappa_est: f64,
+    kappa_per_col: Vec<f64>,
+    fallbacks: usize,
+    fallback_events: Vec<FallbackEvent>,
+    breakdown: Option<String>,
+    relres: Option<f64>,
+    relres_history: &[f64],
+    faults: &GuardCounts,
+) -> CycleHealth {
+    let auto = match policy {
+        StepPolicy::Auto(a) => a.clone(),
+        _ => control::AutoStep::default(),
+    };
+    let stagnated = relres.is_some()
+        && control::residual_stagnated(
+            relres_history,
+            auto.stagnation_window,
+            auto.stagnation_factor,
+        );
+    // Poisoned operations have no final verdict at assessment time (the
+    // rollback has not been retried yet), so the health report treats them
+    // as unrecovered: the controller must react to the damage *this* cycle.
+    let verdict = control::assess_cycle(
+        &auto,
+        breakdown.is_some(),
+        usable_cols,
+        kappa_est,
+        fallbacks,
+        stagnated,
+        faults.poisoned + faults.unrecovered,
+    );
+    CycleHealth {
+        cycle,
+        step,
+        usable_cols,
+        kappa_est,
+        fallbacks,
+        fallback_events,
+        breakdown,
+        relres,
+        stagnated,
+        kappa_per_col,
+        verdict,
+        faults_detected: faults.detected,
+        faults_recovered: faults.recovered,
+        faults_unrecovered: faults.poisoned + faults.unrecovered,
+    }
+}
+
+/// Fault-guard activity attributable to the current cycle: the guard's
+/// cumulative counters minus the snapshot taken when the cycle began.
+fn cycle_fault_delta(guard: &Option<Arc<GuardContext>>, base: &GuardCounts) -> GuardCounts {
+    match guard {
+        Some(ctx) => {
+            let c = ctx.counts();
+            GuardCounts {
+                detected: c.detected - base.detected,
+                recovered: c.recovered - base.recovered,
+                poisoned: c.poisoned - base.poisoned,
+                unrecovered: c.unrecovered - base.unrecovered,
+                retries: c.retries - base.retries,
+            }
+        }
+        None => GuardCounts::default(),
+    }
+}
+
+/// Once an Auto rescue is active, keep the most recent harvested Newton
+/// shifts in effect for strategies that would otherwise re-run the basis
+/// that broke (the automated form of the README's warm-up shift oracle).
+/// Adaptive re-harvests on its own and Scheduled must replay verbatim, so
+/// both are left alone; non-Auto policies never activate a rescue.
+fn apply_rescue_basis(
+    strategy: &BasisStrategy,
+    controller: &StepController,
+    current_basis: &mut KrylovBasis,
+    last_harvest: &Option<Vec<f64>>,
+) {
+    if !controller.rescue_active() {
+        return;
+    }
+    match strategy {
+        BasisStrategy::Monomial | BasisStrategy::Newton { .. } => {
+            if let Some(shifts) = last_harvest {
+                if !shifts.is_empty() {
+                    *current_basis = KrylovBasis::Newton {
+                        shifts: shifts.clone(),
+                    };
+                }
+            }
+        }
+        BasisStrategy::Adaptive(_) | BasisStrategy::Scheduled { .. } => {}
+    }
+}
+
+/// `r = b − A·x` on the local blocks.  With an active guard the halo
+/// exchange inside the SpMV is checksummed; a corrupted or lost frame
+/// poisons the residual with NaN so the norm guard downstream trips.
+fn compute_residual(
+    a: &DistCsr,
+    x: &[f64],
+    b: &[f64],
+    r: &mut [f64],
+    spmv_count: &mut usize,
+    guard: Option<&GuardContext>,
+) {
+    a.spmv_guarded(x, r, guard);
+    *spmv_count += 1;
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
+    }
+}
+
+/// Global 2-norm of a distributed vector (one single-word all-reduce, or
+/// the guard's duplicated-word reduce when screening is on).
+fn global_norm(local: &[f64], comm: &dyn Communicator, guard: Option<&GuardContext>) -> f64 {
+    let local_sq = dense::dot(local, local);
+    match guard {
+        Some(ctx) if ctx.policy().gram_screen || ctx.policy().agreement => {
+            ctx.norm_reduce(comm, local_sq)
+        }
+        _ => {
+            let mut buf = [local_sq];
+            comm.allreduce_sum(&mut buf);
+            buf[0].max(0.0).sqrt()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::GmresConfig;
     use blockortho::OrthoKind;
-    use sparse::{laplace2d_5pt, laplace2d_9pt};
+    use sparse::{laplace2d_5pt, laplace2d_9pt, RowSource};
 
     fn rhs_for(a: &Csr, seed: usize) -> Vec<f64> {
         (0..a.nrows())
@@ -1135,7 +1236,11 @@ mod tests {
             ..GmresConfig::default()
         });
         let (x_rep, r_rep) = solver.solve_block_serial(&a, &b);
-        let (x_str, r_str) = solver.solve_block_serial_from_rows(&rows, &b);
+        let part = block_row_partition(rows.nrows(), 1);
+        let dist = DistCsr::from_row_source(SerialComm::new(), &part, &rows);
+        let b_str = cols_to_matrix(rows.nrows(), &b);
+        let mut x_str = Matrix::zeros(rows.nrows(), b.len());
+        let r_str = solver.solve_block(&dist, &Identity, &b_str, &mut x_str);
         assert!(r_rep.converged && r_str.converged);
         assert_eq!(x_rep.data(), x_str.data(), "bitwise identical blocks");
         assert_eq!(r_rep.comm_total, r_str.comm_total);

@@ -149,8 +149,8 @@ pub struct CycleHealth {
     pub stagnated: bool,
     /// Per-column condition estimates of a **block** cycle's interleaved R
     /// factor (one entry per column active when the cycle started; see
-    /// [`block_r_diag_condition`]).  Empty for single-RHS solves, where
-    /// `kappa_est` is the whole story.  `kappa_est` aggregates these with
+    /// [`block_r_diag_condition`]); a single-RHS solve records its one
+    /// column's estimate, bitwise `kappa_est`.  `kappa_est` aggregates these with
     /// [`active_kappa_max`] over the columns that *survive* the cycle's
     /// deflation check, so the Auto policy never shrinks or blocks a probe
     /// on a deflated column's stale conditioning.
@@ -205,27 +205,6 @@ pub fn residual_stagnated(relres_history: &[f64], window: usize, factor: f64) ->
     !matches!(last.partial_cmp(&bound), Some(std::cmp::Ordering::Less))
 }
 
-/// Condition estimate of the leading `cols`-column basis from the R
-/// factor's diagonal: `max |R_ii| / min |R_ii|`.  Replicated input, so
-/// every rank computes the identical value with no communication.
-pub fn r_diag_condition(r: &Matrix, cols: usize) -> f64 {
-    if cols == 0 {
-        return f64::INFINITY;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi: f64 = 0.0;
-    for i in 0..cols {
-        let d = r[(i, i)].abs();
-        lo = lo.min(d);
-        hi = hi.max(d);
-    }
-    if lo == 0.0 || !lo.is_finite() || !hi.is_finite() {
-        f64::INFINITY
-    } else {
-        hi / lo
-    }
-}
-
 /// Per-column condition estimates of a **block** cycle's R factor.
 ///
 /// The block solver interleaves its `block_width` right-hand-side columns:
@@ -233,7 +212,9 @@ pub fn r_diag_condition(r: &Matrix, cols: usize) -> f64 {
 /// `2·block_width + j`, … so its per-column conditioning is the
 /// max/min ratio over exactly those diagonal entries of `R`, scanned over
 /// the leading `blocks` diagonal blocks.  At `block_width = 1` the single
-/// entry is bitwise [`r_diag_condition`]`(r, blocks)`.
+/// entry is the condition estimate of the leading `blocks`-column basis:
+/// `max |R_ii| / min |R_ii|`.  Replicated input, so every rank computes
+/// the identical value with no communication.
 pub fn block_r_diag_condition(r: &Matrix, block_width: usize, blocks: usize) -> Vec<f64> {
     assert!(block_width >= 1, "block width must be at least 1");
     let mut out = Vec::with_capacity(block_width);
@@ -630,11 +611,8 @@ mod tests {
         r[(5, 5)] = 1e-6; // block 2, column 1
         let per_col = block_r_diag_condition(&r, 2, 3);
         assert_eq!(per_col, vec![1e3, 1e6]);
-        // Width 1 is bitwise the scalar estimate.
-        assert_eq!(
-            block_r_diag_condition(&r, 1, 6),
-            vec![r_diag_condition(&r, 6)]
-        );
+        // Width 1 reads the plain diagonal.
+        assert_eq!(block_r_diag_condition(&r, 1, 6), vec![1e6]);
         // Zero blocks: no information, infinite estimate.
         assert_eq!(
             block_r_diag_condition(&r, 2, 0),
@@ -656,12 +634,14 @@ mod tests {
 
     #[test]
     fn r_diag_condition_estimates_from_the_diagonal() {
+        // The single-RHS case: one column owns the whole diagonal.
+        let kappa = |r: &Matrix, cols| block_r_diag_condition(r, 1, cols)[0];
         let mut r = Matrix::identity(4);
         r[(2, 2)] = 1e-6;
-        assert_eq!(r_diag_condition(&r, 2), 1.0);
-        assert_eq!(r_diag_condition(&r, 4), 1e6);
+        assert_eq!(kappa(&r, 2), 1.0);
+        assert_eq!(kappa(&r, 4), 1e6);
         r[(3, 3)] = 0.0;
-        assert_eq!(r_diag_condition(&r, 4), f64::INFINITY);
-        assert_eq!(r_diag_condition(&r, 0), f64::INFINITY);
+        assert_eq!(kappa(&r, 4), f64::INFINITY);
+        assert_eq!(kappa(&r, 0), f64::INFINITY);
     }
 }

@@ -1,19 +1,16 @@
-//! The restarted s-step GMRES solver (Fig. 1 / Fig. 5 of the paper).
+//! Configuration, result type and single-RHS entry points of the
+//! restarted s-step GMRES solver (Fig. 1 / Fig. 5 of the paper).  The
+//! cycle itself lives in [`crate::block`]: a single right-hand side is the
+//! one-column block.
 
-use crate::basis::{BasisStrategy, KrylovBasis};
-use crate::control::{self, CycleHealth, StepController, StepPolicy};
-use crate::hessenberg::HessenbergRecovery;
+use crate::basis::BasisStrategy;
+use crate::control::{CycleHealth, StepPolicy};
 use crate::precond::{Identity, Preconditioner};
-use crate::shifts;
-use crate::timing::{CycleClock, CycleTiming, Phase};
-use blockortho::{make_orthogonalizer_with_sketch, FallbackEvent, OrthoKind};
+use crate::timing::CycleTiming;
+use blockortho::OrthoKind;
 use dense::Matrix;
-use distsim::{
-    fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardCounts,
-    GuardEvent, GuardPolicy, SerialComm, SketchConfig,
-};
-use sparse::{block_row_partition, Csr, RowPartition, RowSource};
-use std::sync::Arc;
+use distsim::{CommStatsSnapshot, DistCsr, GuardEvent, GuardPolicy, SerialComm, SketchConfig};
+use sparse::{block_row_partition, Csr};
 
 /// Configuration of the (s-step) GMRES solver.
 #[derive(Debug, Clone)]
@@ -41,8 +38,8 @@ pub struct GmresConfig {
     pub step_policy: StepPolicy,
     /// Fault-detection guards (Gram screening, halo checksums, agreement
     /// probes) and the in-place recovery budget.  All off by default: no
-    /// [`GuardContext`] is allocated and every collective is bitwise the
-    /// unguarded operation.
+    /// [`GuardContext`](distsim::GuardContext) is allocated and every
+    /// collective is bitwise the unguarded operation.
     pub guards: GuardPolicy,
     /// Sketch operator configuration used by the sketched orthogonalization
     /// kinds ([`OrthoKind::RandCholQr`], [`OrthoKind::TwoStageSketched`]);
@@ -206,46 +203,14 @@ impl SStepGmres {
         (x, result)
     }
 
-    /// Solve `A·x = b` on a single rank, assembling the operator by
-    /// streaming it from a row provider instead of a replicated CSR.
-    pub fn solve_serial_from_rows<S: RowSource>(
-        &self,
-        rows: &S,
-        b: &[f64],
-    ) -> (Vec<f64>, SolveResult) {
-        let comm = SerialComm::new();
-        let part = block_row_partition(rows.nrows(), 1);
-        let mut x = vec![0.0; rows.nrows()];
-        let result = self.solve_from_rows(comm, &part, rows, &Identity, b, &mut x);
-        (x, result)
-    }
-
-    /// Solve `A·x = b` with the operator assembled from a **row provider**
-    /// rather than a replicated `&Csr`: the distributed matrix is built by
-    /// streaming this rank's rows ([`DistCsr::from_row_source`]), so no
-    /// rank ever materializes the global matrix — peak construction memory
-    /// is `O(nnz/P + halo)` per rank.
-    ///
-    /// Collective: every rank of `comm` must call it with the same `part`
-    /// and an equivalent row provider.  `b_local` and `x_local` are this
-    /// rank's blocks of the right-hand side and solution.
-    pub fn solve_from_rows<S: RowSource>(
-        &self,
-        comm: Arc<dyn Communicator>,
-        part: &RowPartition,
-        rows: &S,
-        precond: &dyn Preconditioner,
-        b_local: &[f64],
-        x_local: &mut [f64],
-    ) -> SolveResult {
-        let dist = DistCsr::from_row_source(comm, part, rows);
-        self.solve(&dist, precond, b_local, x_local)
-    }
-
     /// Solve `A·x = b` on the communicator `a` lives on.
     ///
     /// `b_local` and `x_local` are the local blocks of the right-hand side
-    /// and the solution (used as the initial guess and overwritten).
+    /// and the solution (used as the initial guess and overwritten).  This
+    /// is the one-column case of [`SStepGmres::solve_block`], which keeps
+    /// the single-RHS conventions at `k = 1` (β·e₁ least squares, the
+    /// one-word norm reduce, the guard/rollback ladder); the committed
+    /// goldens of `tests/solve_goldens.rs` pin its results bit for bit.
     pub fn solve(
         &self,
         a: &DistCsr,
@@ -253,703 +218,36 @@ impl SStepGmres {
         b_local: &[f64],
         x_local: &mut [f64],
     ) -> SolveResult {
-        let m = self.config.restart;
-        let s_req = self.config.step_size;
         let nloc = a.local_matrix().nrows();
         assert_eq!(b_local.len(), nloc, "rhs length mismatch");
         assert_eq!(x_local.len(), nloc, "solution length mismatch");
-        let comm = a.comm().clone();
-        let stats_start = comm.stats().snapshot();
-        let mut comm_ortho = CommStatsSnapshot::default();
-        // Fault-detection guards: allocated only when the policy enables
-        // any of them, so the default path stays bitwise identical to the
-        // unguarded solver.
-        let guard: Option<Arc<GuardContext>> = if self.config.guards.any_enabled() {
-            Some(GuardContext::new(self.config.guards))
-        } else {
-            None
-        };
-
-        let mut iterations = 0usize;
-        let mut restarts = 0usize;
-        let mut spmv_count = 0usize;
-        let mut precond_count = 0usize;
-        let mut breakdown: Option<String> = None;
-        let mut converged = false;
-        // Basis policy state: the basis in effect for the current cycle,
-        // plus the per-cycle record that makes a solve replayable.
-        let mut current_basis = self.config.basis.initial_basis();
-        let mut cycles_started = 0usize;
-        let mut shift_history: Vec<Vec<f64>> = Vec::new();
-        let mut relres_history: Vec<f64> = Vec::new();
-        let mut last_harvest: Option<Vec<f64>> = None;
-        let mut ortho_fallbacks = 0usize;
-        // Step-size policy state: the controller observes every cycle's
-        // health (all signals are replicated, so its decisions cost no
-        // communication) and, under StepPolicy::Auto, shrinks/regrows the
-        // effective step.
-        let mut controller = StepController::new(self.config.step_policy.clone(), s_req, m);
-        let mut step_history: Vec<usize> = Vec::new();
-        let mut health_history: Vec<CycleHealth> = Vec::new();
-        let mut cycle_timings: Vec<CycleTiming> = Vec::new();
-
-        // Reusable buffers.
-        let mut basis =
-            DistMultiVector::zeros(comm.clone(), a.global_rows(), nloc, a.row_offset(), m + 1);
-        basis.set_guard(guard.clone());
-        let mut r_factor = Matrix::zeros(m + 1, m + 1);
-        let mut z = vec![0.0; nloc]; // preconditioned vector
-        let mut w = vec![0.0; nloc]; // A·z
-
-        // Initial residual norm (r0 with the initial guess x_local).
-        fault::set_phase("residual");
-        let mut residual = compute_residual(a, x_local, b_local, &mut spmv_count, guard.as_deref());
-        let r0_norm = global_norm(&residual, comm.as_ref(), guard.as_deref());
-        if r0_norm == 0.0 {
-            fault::set_phase("");
-            return SolveResult {
-                converged: true,
-                iterations: 0,
-                restarts: 0,
-                final_relres: 0.0,
-                breakdown: None,
-                spmv_count,
-                precond_count,
-                comm_total: comm.stats().snapshot().since(&stats_start),
-                comm_ortho,
-                relres_history: Vec::new(),
-                shift_history: Vec::new(),
-                last_harvest: None,
-                ortho_fallbacks: 0,
-                step_history: Vec::new(),
-                health_history: Vec::new(),
-                rescues: 0,
-                cycle_timings: Vec::new(),
-                fault_events: Vec::new(),
-                faults_detected: 0,
-                faults_recovered: 0,
-                faults_unrecovered: 0,
-            };
-        }
-        let target = self.config.tol * r0_norm;
-        let mut gamma = r0_norm;
-        if let Some(ctx) = &guard {
-            // The residual norm drives every replicated control decision:
-            // stage it for the cross-rank agreement probe of the next
-            // guarded reduce.
-            ctx.stage_agreement(gamma);
-        }
-        let mut consecutive_breakdowns = 0usize;
-        let mut no_progress_cycles = 0usize;
-
-        'outer: while restarts < self.config.max_restarts && iterations < self.config.max_iters {
-            if gamma <= target {
-                converged = true;
-                break;
-            }
-            // Select this cycle's basis and effective step and record both
-            // (the records are what BasisStrategy::Scheduled and
-            // StepPolicy::Scheduled replay).
-            if let BasisStrategy::Scheduled { per_cycle } = &self.config.basis {
-                current_basis = BasisStrategy::scheduled_basis(per_cycle, cycles_started);
-            }
-            let s = controller.step_for_cycle(cycles_started);
-            shift_history.push(match &current_basis {
-                KrylovBasis::Monomial => Vec::new(),
-                KrylovBasis::Newton { shifts } => shifts.clone(),
-            });
-            step_history.push(s);
-            cycles_started += 1;
-            // Baseline for this cycle's fault accounting (all zero when
-            // guards are off).
-            let fault_base = guard.as_ref().map(|c| c.counts()).unwrap_or_default();
-            // Per-cycle wall-time breakdown: plain clock reads, always on
-            // (does not touch the arithmetic).  The trace span only fires
-            // when the tracing layer is enabled.
-            let mut clock = CycleClock::start(cycles_started - 1, s);
-            let _cycle_span = trace::span2(
-                "solver",
-                "cycle",
-                "cycle",
-                (cycles_started - 1) as u64,
-                "step",
-                s as u64,
-            );
-            // Start a new cycle: column 0 = r/γ.
-            for entry in r_factor.data_mut().iter_mut() {
-                *entry = 0.0;
-            }
-            basis.set_col_from_global_local(0, &residual);
-            basis.scale_col(0, 1.0 / gamma);
-            let mut ortho =
-                make_orthogonalizer_with_sketch(self.config.ortho, m + 1, self.config.sketch);
-            let mut hess = HessenbergRecovery::new(m);
-            // Submit column 0 as the first (single-column) panel so every
-            // scheme sees its panels starting at column 0.
-            let before = comm.stats().snapshot();
-            clock.lap(Phase::Other);
-            fault::set_phase("ortho");
-            let first = {
-                let _sp = trace::span2("solver", "ortho", "start", 0, "cols", 1);
-                ortho.orthogonalize_panel(&mut basis, 0..1, &mut r_factor)
-            };
-            comm_ortho = comm_ortho.merge(&comm.stats().snapshot().since(&before));
-            clock.lap(Phase::Ortho);
-            let mut cycle_breakdown: Option<String> = None;
-            if let Err(e) = first {
-                // Fatal: the residual column itself could not be
-                // normalized; no step size rescues this.  Record the
-                // cycle's health for observability and stop.
-                let msg = format!("initial column: {e}");
-                breakdown = Some(msg.clone());
-                let faults = cycle_fault_delta(&guard, &fault_base);
-                if let Some(ctx) = &guard {
-                    // A fatal first column defeats the ladder: whatever was
-                    // poisoned this cycle stays unrecovered.
-                    ctx.resolve_poisoned(faults.poisoned, false);
-                }
-                health_history.push(build_health(
-                    &self.config.step_policy,
-                    cycles_started - 1,
-                    s,
-                    0,
-                    f64::INFINITY,
-                    Vec::new(),
-                    ortho.fallback_count(),
-                    ortho.fallback_events().to_vec(),
-                    Some(msg),
-                    None,
-                    &relres_history,
-                    &faults,
-                ));
-                cycle_timings.push(clock.finish());
-                break 'outer;
-            }
-            let mut cols = 1usize; // basis columns filled and submitted
-            let mut cycle_converged_est = false;
-
-            while cols < m + 1 && iterations < self.config.max_iters {
-                let k = s.min(m + 1 - cols);
-                // --- Matrix-powers kernel: generate k new columns. ---
-                {
-                    let _sp = trace::span2("solver", "mpk", "start", cols as u64, "k", k as u64);
-                    fault::set_phase("mpk");
-                    for t in 0..k {
-                        let input = cols - 1 + t;
-                        if t == 0 {
-                            // The panel-start input had already been handed to
-                            // the orthogonalizer.
-                            hess.mark_submitted_input(input);
-                        }
-                        precond.apply(basis.local().col(input), &mut z);
-                        precond_count += 1;
-                        a.spmv_guarded(&z, &mut w, guard.as_deref());
-                        spmv_count += 1;
-                        let theta = current_basis.shift(input);
-                        if theta != 0.0 {
-                            let u = basis.local().col(input).to_vec();
-                            for (wi, ui) in w.iter_mut().zip(&u) {
-                                *wi -= theta * ui;
-                            }
-                        }
-                        basis.local_mut().col_mut(cols + t).copy_from_slice(&w);
-                    }
-                }
-                iterations += k;
-                clock.lap(Phase::Mpk);
-                // --- Block orthogonalization of the new panel. ---
-                let before = comm.stats().snapshot();
-                fault::set_phase("ortho");
-                let status = {
-                    let _sp =
-                        trace::span2("solver", "ortho", "start", cols as u64, "cols", k as u64);
-                    ortho.orthogonalize_panel(&mut basis, cols..cols + k, &mut r_factor)
-                };
-                comm_ortho = comm_ortho.merge(&comm.stats().snapshot().since(&before));
-                clock.lap(Phase::Ortho);
-                match status {
-                    Ok(()) => {
-                        consecutive_breakdowns = 0;
-                    }
-                    Err(e) => {
-                        let msg = format!("panel {}..{}: {e}", cols, cols + k);
-                        breakdown = Some(msg.clone());
-                        cycle_breakdown = Some(msg);
-                        consecutive_breakdowns += 1;
-                        // Abandon this cycle; use what has been finalized.
-                        break;
-                    }
-                }
-                cols += k;
-                // --- Convergence estimate on the finalized prefix. ---
-                let finalized = ortho.finalized_cols().unwrap_or(cols).min(cols);
-                if finalized >= 2 {
-                    let hess_span = trace::span1("solver", "hess", "cols", finalized as u64);
-                    hess.recover_upto(
-                        finalized - 1,
-                        &r_factor,
-                        ortho.stored_basis_coeffs(),
-                        &current_basis,
-                    );
-                    let (_, res_est) = hess.least_squares(finalized - 1, gamma);
-                    let done = res_est <= target;
-                    drop(hess_span);
-                    clock.lap(Phase::Hess);
-                    if done {
-                        cycle_converged_est = true;
-                        break;
-                    }
-                } else {
-                    clock.lap(Phase::Hess);
-                }
-            }
-
-            // --- Complete delayed orthogonalization and the projected solve. ---
-            let before = comm.stats().snapshot();
-            fault::set_phase("ortho");
-            let finish_status = {
-                let _sp = trace::span("solver", "ortho_finish");
-                ortho.finish(&mut basis, &mut r_factor)
-            };
-            if let Err(e) = finish_status {
-                let msg = format!("finish: {e}");
-                if breakdown.is_none() {
-                    breakdown = Some(msg.clone());
-                }
-                if cycle_breakdown.is_none() {
-                    cycle_breakdown = Some(msg);
-                }
-                consecutive_breakdowns += 1;
-            }
-            comm_ortho = comm_ortho.merge(&comm.stats().snapshot().since(&before));
-            clock.lap(Phase::Ortho);
-            let cycle_fallbacks = ortho.fallback_count();
-            let cycle_events = ortho.fallback_events().to_vec();
-            ortho_fallbacks += cycle_fallbacks;
-            let finalized = ortho.finalized_cols().unwrap_or(cols).min(cols);
-            let mut k_use = finalized.saturating_sub(1);
-            if let Some(ctx) = &guard {
-                if ctx.take_alarm() {
-                    // A replicated scalar diverged across ranks: nothing
-                    // this cycle computed can be trusted to be consistent.
-                    // Abandon the cycle (no solution update) and
-                    // resynchronize the replicated residual norm with a
-                    // fresh reduce of the untouched local residuals.
-                    let msg =
-                        "cross-rank divergence: agreement probe on the replicated residual norm"
-                            .to_string();
-                    if breakdown.is_none() {
-                        breakdown = Some(msg.clone());
-                    }
-                    if cycle_breakdown.is_none() {
-                        cycle_breakdown = Some(msg);
-                    }
-                    fault::set_phase("residual");
-                    gamma = global_norm(&residual, comm.as_ref(), guard.as_deref());
-                    ctx.stage_agreement(gamma);
-                    k_use = 0;
-                }
-            }
-            if k_use == 0 {
-                // Nothing usable was generated in this cycle: without an
-                // update the next cycle would start from the same residual,
-                // so give up after repeated empty cycles — unless the Auto
-                // policy can still rescue by shrinking the step.
-                no_progress_cycles += 1;
-                let faults = cycle_fault_delta(&guard, &fault_base);
-                let health = build_health(
-                    &self.config.step_policy,
-                    cycles_started - 1,
-                    s,
-                    0,
-                    control::r_diag_condition(&r_factor, finalized.min(s + 1)),
-                    Vec::new(),
-                    cycle_fallbacks,
-                    cycle_events,
-                    cycle_breakdown.clone(),
-                    None,
-                    &relres_history,
-                    &faults,
-                );
-                let decision = controller.observe(&health);
-                health_history.push(health);
-                if decision.shrunk() {
-                    trace::instant2(
-                        "solver",
-                        "step_shrink",
-                        "cycle",
-                        (cycles_started - 1) as u64,
-                        "step",
-                        s as u64,
-                    );
-                }
-                cycle_timings.push(clock.finish());
-                let giving_up =
-                    !decision.shrunk() && (no_progress_cycles >= 2 || consecutive_breakdowns >= 3);
-                if let Some(ctx) = &guard {
-                    // The abandoned cycle *is* the rollback rung of the
-                    // ladder: poisoned payloads were discarded with the
-                    // cycle and the next one restarts from the last good
-                    // residual — unless the solver is giving up entirely.
-                    ctx.resolve_poisoned(faults.poisoned, !giving_up);
-                }
-                if giving_up {
-                    break 'outer;
-                }
-                // An empty cycle yields no Hessenberg to harvest from; the
-                // adaptive policy retries the next cycle with the monomial
-                // basis (the shifts may be what broke the panel).
-                if matches!(self.config.basis, BasisStrategy::Adaptive(_)) {
-                    current_basis = KrylovBasis::Monomial;
-                }
-                apply_rescue_basis(
-                    &self.config.basis,
-                    &controller,
-                    &mut current_basis,
-                    &last_harvest,
-                );
-                restarts += 1;
-                continue;
-            }
-            no_progress_cycles = 0;
-            let hess_span = trace::span1("solver", "hess", "cols", k_use as u64);
-            hess.recover_upto(
-                k_use,
-                &r_factor,
-                ortho.stored_basis_coeffs(),
-                &current_basis,
-            );
-            // Harvest Ritz shifts from this cycle's Hessenberg block.  The
-            // block is replicated (recovered from the replicated R factor),
-            // so every rank computes identical shifts with zero extra
-            // communication; only the adaptive policy acts on the result,
-            // but the harvest is recorded for every strategy so a warm-up
-            // solve can serve as a shift oracle.
-            // The harvest cap follows the *requested* step size even when a
-            // rescue shrank the effective one — exactly the manual warm-up
-            // oracle's shape, so a reduced-step cycle yields enough shifts
-            // to probe back up to the requested step.
-            let (cap, rtol, min_h) = match &self.config.basis {
-                BasisStrategy::Adaptive(a) => (
-                    if a.max_shifts == 0 {
-                        s_req
-                    } else {
-                        a.max_shifts
-                    },
-                    a.dedup_rtol,
-                    a.min_hessenberg,
-                ),
-                _ => (s_req, shifts::DEFAULT_DEDUP_RTOL, 2),
-            };
-            let harvest = if k_use >= min_h.max(1) {
-                shifts::harvest_newton_shifts(&hess, k_use, cap, rtol)
-            } else {
-                None
-            };
-            if let Some(h) = &harvest {
-                last_harvest = Some(h.clone());
-            }
-            if matches!(self.config.basis, BasisStrategy::Adaptive(_)) {
-                current_basis = match harvest {
-                    Some(shifts) => KrylovBasis::Newton { shifts },
-                    None => KrylovBasis::Monomial,
-                };
-            }
-            let (y, _) = hess.least_squares(k_use, gamma);
-            drop(hess_span);
-            clock.lap(Phase::Hess);
-            // Solution update: x ← x + M⁻¹·(Q_{0..k_use}·y).  A poisoned
-            // cycle can smuggle NaN into the projected solution without
-            // tripping the Cholesky; with guards on, never let it reach x,
-            // where it would be unrecoverable — skip the update and let the
-            // breakdown verdict shrink the step instead.  (Unguarded solves
-            // keep the seed behavior: corruption flows through, which is
-            // exactly the silent failure the fault campaign demonstrates.)
-            if guard.is_none() || y.iter().all(|v| v.is_finite()) {
-                fault::set_phase("update");
-                let _sp = trace::span1("solver", "update", "cols", k_use as u64);
-                let mut qy = vec![0.0; nloc];
-                dense::gemv_plus(&basis.local_cols(0..k_use), &y, &mut qy);
-                precond.apply(&qy, &mut z);
-                precond_count += 1;
-                for (xi, zi) in x_local.iter_mut().zip(&z) {
-                    *xi += zi;
-                }
-            } else {
-                let msg =
-                    "projected solution non-finite (poisoned cycle); update skipped".to_string();
-                if breakdown.is_none() {
-                    breakdown = Some(msg.clone());
-                }
-                if cycle_breakdown.is_none() {
-                    cycle_breakdown = Some(msg);
-                }
-                consecutive_breakdowns += 1;
-            }
-            restarts += 1;
-            clock.lap(Phase::Update);
-            // True residual for the next cycle / convergence verification.
-            {
-                let _sp = trace::span("solver", "residual");
-                fault::set_phase("residual");
-                residual = compute_residual(a, x_local, b_local, &mut spmv_count, guard.as_deref());
-                gamma = global_norm(&residual, comm.as_ref(), guard.as_deref());
-                if let Some(ctx) = &guard {
-                    ctx.stage_agreement(gamma);
-                }
-            }
-            relres_history.push(gamma / r0_norm);
-            clock.lap(Phase::Residual);
-            // Cycle health: every signal is local or replicated (R factor
-            // diagonal, fallback events, the residual already reduced
-            // above), so assembling and acting on the report costs zero
-            // additional global reductions.
-            let faults = cycle_fault_delta(&guard, &fault_base);
-            let health = build_health(
-                &self.config.step_policy,
-                cycles_started - 1,
-                s,
-                k_use,
-                control::r_diag_condition(&r_factor, finalized.min(s + 1)),
-                Vec::new(),
-                cycle_fallbacks,
-                cycle_events,
-                cycle_breakdown.clone(),
-                Some(gamma / r0_norm),
-                &relres_history,
-                &faults,
-            );
-            let decision = controller.observe(&health);
-            health_history.push(health);
-            // Verdict on this cycle's poisoned operations: the true residual
-            // just recomputed is the ground truth.  A finite norm means the
-            // rollback ladder absorbed the damage; a non-finite one means the
-            // corruption reached state we could not rebuild.
-            if let Some(ctx) = &guard {
-                ctx.resolve_poisoned(faults.poisoned, gamma.is_finite());
-            }
-            if decision.shrunk() {
-                trace::instant2(
-                    "solver",
-                    "step_shrink",
-                    "cycle",
-                    (cycles_started - 1) as u64,
-                    "step",
-                    s as u64,
-                );
-            }
-            cycle_timings.push(clock.finish());
-            if gamma <= target {
-                converged = true;
-                break;
-            }
-            if consecutive_breakdowns >= 3 {
-                break;
-            }
-            apply_rescue_basis(
-                &self.config.basis,
-                &controller,
-                &mut current_basis,
-                &last_harvest,
-            );
-            let _ = cycle_converged_est; // estimate is re-verified by the true residual above
-        }
-        if gamma <= target {
-            converged = true;
-        }
-        fault::set_phase("");
-        // Any poisoned operations still pending (e.g. the solve ran out of
-        // cycles mid-rollback) get their verdict from the final outcome.
-        let (fault_events, faults_detected, faults_recovered, faults_unrecovered) = match &guard {
-            Some(ctx) => {
-                let pending = ctx.counts().poisoned;
-                if pending > 0 {
-                    ctx.resolve_poisoned(pending, converged);
-                }
-                let c = ctx.counts();
-                (ctx.events(), c.detected, c.recovered, c.unrecovered)
-            }
-            None => (Vec::new(), 0, 0, 0),
-        };
-
+        let b = Matrix::from_col_major(nloc, 1, b_local.to_vec());
+        let mut x = Matrix::from_col_major(nloc, 1, x_local.to_vec());
+        let mut r = self.solve_block(a, precond, &b, &mut x);
+        x_local.copy_from_slice(x.col(0));
         SolveResult {
-            converged,
-            iterations,
-            restarts,
-            final_relres: gamma / r0_norm,
-            breakdown,
-            spmv_count,
-            precond_count,
-            comm_total: comm.stats().snapshot().since(&stats_start),
-            comm_ortho,
-            relres_history,
-            shift_history,
-            last_harvest,
-            ortho_fallbacks,
-            step_history,
-            health_history,
-            rescues: controller.shrinks(),
-            cycle_timings,
-            fault_events,
-            faults_detected,
-            faults_recovered,
-            faults_unrecovered,
+            converged: r.converged,
+            iterations: r.iterations,
+            restarts: r.restarts,
+            final_relres: r.final_relres[0],
+            breakdown: r.breakdown,
+            spmv_count: r.spmv_count,
+            precond_count: r.precond_count,
+            comm_total: r.comm_total,
+            comm_ortho: r.comm_ortho,
+            relres_history: r.relres_history.swap_remove(0),
+            shift_history: r.shift_history,
+            last_harvest: r.last_harvest,
+            ortho_fallbacks: r.ortho_fallbacks,
+            step_history: r.step_history,
+            health_history: r.health_history,
+            rescues: r.rescues,
+            cycle_timings: r.cycle_timings,
+            fault_events: r.fault_events,
+            faults_detected: r.faults_detected,
+            faults_recovered: r.faults_recovered,
+            faults_unrecovered: r.faults_unrecovered,
         }
-    }
-}
-
-/// Assemble a [`CycleHealth`] report from a finished cycle's raw signals.
-/// Non-Auto policies assess with [`control::AutoStep::default`] thresholds
-/// so `health_history` reads the same everywhere.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_health(
-    policy: &StepPolicy,
-    cycle: usize,
-    step: usize,
-    usable_cols: usize,
-    kappa_est: f64,
-    kappa_per_col: Vec<f64>,
-    fallbacks: usize,
-    fallback_events: Vec<FallbackEvent>,
-    breakdown: Option<String>,
-    relres: Option<f64>,
-    relres_history: &[f64],
-    faults: &GuardCounts,
-) -> CycleHealth {
-    let auto = match policy {
-        StepPolicy::Auto(a) => a.clone(),
-        _ => control::AutoStep::default(),
-    };
-    let stagnated = relres.is_some()
-        && control::residual_stagnated(
-            relres_history,
-            auto.stagnation_window,
-            auto.stagnation_factor,
-        );
-    // Poisoned operations have no final verdict at assessment time (the
-    // rollback has not been retried yet), so the health report treats them
-    // as unrecovered: the controller must react to the damage *this* cycle.
-    let verdict = control::assess_cycle(
-        &auto,
-        breakdown.is_some(),
-        usable_cols,
-        kappa_est,
-        fallbacks,
-        stagnated,
-        faults.poisoned + faults.unrecovered,
-    );
-    CycleHealth {
-        cycle,
-        step,
-        usable_cols,
-        kappa_est,
-        fallbacks,
-        fallback_events,
-        breakdown,
-        relres,
-        stagnated,
-        kappa_per_col,
-        verdict,
-        faults_detected: faults.detected,
-        faults_recovered: faults.recovered,
-        faults_unrecovered: faults.poisoned + faults.unrecovered,
-    }
-}
-
-/// Fault-guard activity attributable to the current cycle: the guard's
-/// cumulative counters minus the snapshot taken when the cycle began.
-pub(crate) fn cycle_fault_delta(
-    guard: &Option<Arc<GuardContext>>,
-    base: &GuardCounts,
-) -> GuardCounts {
-    match guard {
-        Some(ctx) => {
-            let c = ctx.counts();
-            GuardCounts {
-                detected: c.detected - base.detected,
-                recovered: c.recovered - base.recovered,
-                poisoned: c.poisoned - base.poisoned,
-                unrecovered: c.unrecovered - base.unrecovered,
-                retries: c.retries - base.retries,
-            }
-        }
-        None => GuardCounts::default(),
-    }
-}
-
-/// Once an Auto rescue is active, keep the most recent harvested Newton
-/// shifts in effect for strategies that would otherwise re-run the basis
-/// that broke (the automated form of the README's warm-up shift oracle).
-/// Adaptive re-harvests on its own and Scheduled must replay verbatim, so
-/// both are left alone; non-Auto policies never activate a rescue.
-pub(crate) fn apply_rescue_basis(
-    strategy: &BasisStrategy,
-    controller: &StepController,
-    current_basis: &mut KrylovBasis,
-    last_harvest: &Option<Vec<f64>>,
-) {
-    if !controller.rescue_active() {
-        return;
-    }
-    match strategy {
-        BasisStrategy::Monomial | BasisStrategy::Newton { .. } => {
-            if let Some(shifts) = last_harvest {
-                if !shifts.is_empty() {
-                    *current_basis = KrylovBasis::Newton {
-                        shifts: shifts.clone(),
-                    };
-                }
-            }
-        }
-        BasisStrategy::Adaptive(_) | BasisStrategy::Scheduled { .. } => {}
-    }
-}
-
-/// `r = b − A·x` on the local blocks.  With an active guard the halo
-/// exchange inside the SpMV is checksummed; a corrupted or lost frame
-/// poisons the residual with NaN so the norm guard downstream trips.
-pub(crate) fn compute_residual(
-    a: &DistCsr,
-    x: &[f64],
-    b: &[f64],
-    spmv_count: &mut usize,
-    guard: Option<&GuardContext>,
-) -> Vec<f64> {
-    let mut ax = vec![0.0; x.len()];
-    a.spmv_guarded(x, &mut ax, guard);
-    *spmv_count += 1;
-    b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect()
-}
-
-/// Global 2-norm of a distributed vector (one single-word all-reduce, or
-/// the guard's duplicated-word reduce when screening is on).
-pub(crate) fn global_norm(
-    local: &[f64],
-    comm: &dyn distsim::Communicator,
-    guard: Option<&GuardContext>,
-) -> f64 {
-    let local_sq = dense::dot(local, local);
-    match guard {
-        Some(ctx) if ctx.policy().gram_screen || ctx.policy().agreement => {
-            ctx.norm_reduce(comm, local_sq)
-        }
-        _ => {
-            let mut buf = [local_sq];
-            comm.allreduce_sum(&mut buf);
-            buf[0].max(0.0).sqrt()
-        }
-    }
-}
-
-/// Small extension trait used internally: fill a column of a multivector
-/// from a *local* vector (same length as the local block).
-trait LocalFill {
-    fn set_col_from_global_local(&mut self, col: usize, local: &[f64]);
-}
-
-impl LocalFill for DistMultiVector {
-    fn set_col_from_global_local(&mut self, col: usize, local: &[f64]) {
-        self.local_mut().col_mut(col).copy_from_slice(local);
     }
 }
 
@@ -957,7 +255,7 @@ impl LocalFill for DistMultiVector {
 mod tests {
     use super::*;
     use crate::precond::{BlockJacobiGaussSeidel, Jacobi};
-    use sparse::{laplace2d_5pt, laplace2d_9pt, laplace3d_7pt};
+    use sparse::{laplace2d_5pt, laplace2d_9pt, laplace3d_7pt, RowSource};
 
     fn relres(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.spmv_alloc(x);
@@ -1146,7 +444,10 @@ mod tests {
             ..GmresConfig::default()
         });
         let (x_rep, r_rep) = solver.solve_serial(&a, &b);
-        let (x_str, r_str) = solver.solve_serial_from_rows(&rows, &b);
+        let part = block_row_partition(rows.nrows(), 1);
+        let dist = DistCsr::from_row_source(SerialComm::new(), &part, &rows);
+        let mut x_str = vec![0.0; rows.nrows()];
+        let r_str = solver.solve(&dist, &Identity, &b, &mut x_str);
         assert!(r_rep.converged && r_str.converged);
         assert_eq!(r_rep.iterations, r_str.iterations);
         assert_eq!(x_rep, x_str, "solutions must be bitwise identical");

@@ -1,26 +1,32 @@
-//! Block/single-RHS equivalence battery: the contract that makes
-//! `SStepGmres::solve_block` safe to adopt incrementally.
+//! Block/single-RHS equivalence battery: the contract that lets
+//! `SStepGmres::solve` be the one-column case of the block cycle.
 //!
 //! A one-column block solve is not "numerically close to" the scalar
 //! solver — it **is** the scalar solver: every kernel call, reduce, and
 //! branch happens in the identical order with the identical operands, so
 //! solution bits, every per-cycle history, and the full communication
 //! ledger (`CommStatsSnapshot` implements `PartialEq`) must match
-//! exactly.  The battery pins that across orthogonalization schemes,
-//! basis strategies, step policies, detection guards, thread-pool widths
-//! (explicitly here; the CI test matrix additionally sweeps
-//! `TWOSTAGE_NUM_THREADS`), and simulated rank counts
+//! exactly.  Since `solve` now runs through the block cycle, the scalar
+//! side of each comparison is additionally pinned to the committed golden
+//! fingerprints (`support/goldens.rs`), captured from the dedicated
+//! single-RHS loop before it was deleted.  The battery covers
+//! orthogonalization schemes, basis strategies, step policies, detection
+//! guards, thread-pool widths (explicitly here; the CI test matrix
+//! additionally sweeps `TWOSTAGE_NUM_THREADS`), and simulated rank counts
 //! (`DISTSIM_TEST_RANKS`, comma-separated, extends the sweep like the
-//! other distributed batteries).
+//! other distributed batteries; goldens exist for 1–4 ranks).
+
+#[path = "support/goldens.rs"]
+mod goldens;
+#[path = "support/pool.rs"]
+mod pool;
 
 use std::sync::Arc;
 
 use distsim::{run_ranks, Communicator, DistCsr};
+use pool::pool_guard;
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
-use ssgmres::{
-    BasisStrategy, BlockSolveResult, GmresConfig, GuardPolicy, Identity, OrthoKind, SStepGmres,
-    SolveResult, StepPolicy,
-};
+use ssgmres::{BlockSolveResult, GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
 
 fn rhs_for(a: &Csr, seed: usize) -> Vec<f64> {
     (0..a.nrows())
@@ -117,31 +123,19 @@ fn assert_block_matches_scalar(
 
 #[test]
 fn k1_block_solve_is_bitwise_the_scalar_solve_on_every_scheme() {
+    let _pool = pool_guard();
     let a = laplace2d_9pt(18, 18);
     let b = rhs_for(&a, 0);
-    for ortho in [
-        OrthoKind::Bcgs2CholQr2,
-        OrthoKind::BcgsPip2,
-        OrthoKind::TwoStage { big_panel: 30 },
-        OrthoKind::RandCholQr,
-        OrthoKind::TwoStageSketched { big_panel: 10 },
-    ] {
-        for basis in [
-            BasisStrategy::Monomial,
-            BasisStrategy::Adaptive(Default::default()),
-        ] {
+    for ortho in goldens::schemes() {
+        for basis in goldens::bases() {
             let tag = format!("{ortho:?}/{basis:?}");
-            let config = GmresConfig {
-                restart: 30,
-                step_size: 5,
-                tol: 1e-9,
-                ortho,
-                basis: basis.clone(),
-                ..GmresConfig::default()
-            };
-            let solver = SStepGmres::new(config);
+            let solver = SStepGmres::new(goldens::matrix_config(ortho, &basis, false, false));
             let (x_scalar, scalar) = solver.solve_serial(&a, &b);
             assert!(scalar.converged, "{tag}: {:?}", scalar.breakdown);
+            goldens::assert_golden(
+                &goldens::matrix_key(ortho, &basis, false, false, 1),
+                &[(x_scalar.clone(), scalar.clone())],
+            );
             let (x_block, block) = solver.solve_block_serial(&a, std::slice::from_ref(&b));
             assert_block_matches_scalar(&tag, &x_scalar, &scalar, x_block.col(0), &block);
             assert_eq!(block.deflated_at, vec![Some(block.restarts)], "{tag}");
@@ -155,24 +149,14 @@ fn k1_equivalence_survives_auto_stepping_and_guards() {
     // Auto step policy exercises the controller/health plumbing; enabled
     // guards route the norm reduce through the guarded path — the block
     // solver must follow both bitwise at k = 1.
+    let _pool = pool_guard();
+    let case = goldens::auto_guards_case();
     let a = laplace2d_9pt(16, 16);
     let b = rhs_for(&a, 3);
-    let config = GmresConfig {
-        restart: 24,
-        step_size: 6,
-        tol: 1e-9,
-        ortho: OrthoKind::TwoStage { big_panel: 12 },
-        step_policy: StepPolicy::auto(),
-        guards: GuardPolicy {
-            gram_screen: true,
-            agreement: true,
-            ..GuardPolicy::default()
-        },
-        ..GmresConfig::default()
-    };
-    let solver = SStepGmres::new(config);
+    let solver = SStepGmres::new(case.config.clone());
     let (x_scalar, scalar) = solver.solve_serial(&a, &b);
     assert!(scalar.converged, "{:?}", scalar.breakdown);
+    goldens::assert_golden(&case.key, &[(x_scalar.clone(), scalar.clone())]);
     let (x_block, block) = solver.solve_block_serial(&a, std::slice::from_ref(&b));
     assert_block_matches_scalar("auto+guards", &x_scalar, &scalar, x_block.col(0), &block);
     assert_eq!(scalar.faults_detected, block.faults_detected);
@@ -185,21 +169,17 @@ fn k1_equivalence_is_bitwise_on_every_thread_count() {
     // kernels; the scalar/block identity must hold at *each* width, and
     // the solves themselves must be width-invariant (the workspace-wide
     // determinism claim).
+    let _pool = pool_guard();
+    let case = goldens::threads_case();
     let a = laplace2d_9pt(16, 16);
     let b = rhs_for(&a, 1);
-    let config = GmresConfig {
-        restart: 24,
-        step_size: 4,
-        tol: 1e-9,
-        ortho: OrthoKind::TwoStage { big_panel: 24 },
-        ..GmresConfig::default()
-    };
-    let solver = SStepGmres::new(config);
+    let solver = SStepGmres::new(case.config.clone());
     let mut per_width: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
     for threads in [1usize, 4] {
         parkit::set_num_threads(threads);
         let (x_scalar, scalar) = solver.solve_serial(&a, &b);
         assert!(scalar.converged, "threads {threads}");
+        goldens::assert_golden(&case.key, &[(x_scalar.clone(), scalar.clone())]);
         let (x_block, block) = solver.solve_block_serial(&a, std::slice::from_ref(&b));
         assert_block_matches_scalar(
             &format!("threads {threads}"),
@@ -220,25 +200,20 @@ fn k1_equivalence_is_bitwise_on_every_thread_count() {
 
 #[test]
 fn k1_equivalence_is_bitwise_on_every_rank_count() {
+    let _pool = pool_guard();
     let (nx, ny) = (18, 18);
     let a = laplace2d_9pt(nx, ny);
     let n = a.nrows();
     let b = rhs_for(&a, 2);
-    let config = GmresConfig {
-        restart: 24,
-        step_size: 4,
-        tol: 1e-9,
-        ortho: OrthoKind::TwoStage { big_panel: 24 },
-        ..GmresConfig::default()
-    };
     for nranks in ranks_under_test() {
+        let case = goldens::ranks_case(nranks);
         let part = block_row_partition(n, nranks);
         let outcomes = run_ranks(nranks, |comm| {
             let rank = comm.rank();
             let (lo, hi) = part.range(rank);
             let comm_dyn: Arc<dyn Communicator> = comm;
             let dist = DistCsr::from_global(comm_dyn, &a, &part);
-            let solver = SStepGmres::new(config.clone());
+            let solver = SStepGmres::new(case.config.clone());
             let mut x_scalar = vec![0.0; hi - lo];
             let scalar = solver.solve(&dist, &Identity, &b[lo..hi], &mut x_scalar);
             let mut bm = dense::Matrix::zeros(hi - lo, 1);
@@ -247,6 +222,13 @@ fn k1_equivalence_is_bitwise_on_every_rank_count() {
             let block = solver.solve_block(&dist, &Identity, &bm, &mut x_block);
             (x_scalar, scalar, x_block, block)
         });
+        if nranks <= 4 {
+            let scalar_ranks: Vec<(Vec<f64>, SolveResult)> = outcomes
+                .iter()
+                .map(|(x, r, _, _)| (x.clone(), r.clone()))
+                .collect();
+            goldens::assert_golden(&case.key, &scalar_ranks);
+        }
         for (rank, (x_scalar, scalar, x_block, block)) in outcomes.iter().enumerate() {
             assert!(scalar.converged, "nranks {nranks} rank {rank}");
             assert_block_matches_scalar(
@@ -262,6 +244,7 @@ fn k1_equivalence_is_bitwise_on_every_rank_count() {
 
 #[test]
 fn wide_block_schedule_is_rank_count_invariant() {
+    let _pool = pool_guard();
     // Beyond k = 1: across rank counts the solve follows the same
     // contract the scalar solver pins in `distributed_equivalence.rs` —
     // the cycle-granular *schedule* (restart count, step history,

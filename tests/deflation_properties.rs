@@ -21,19 +21,16 @@
 //! (swept here) and simulated rank counts (`DISTSIM_TEST_RANKS` extends
 //! the sweep; `tests/block_equivalence.rs` pins the rank axis as well).
 
+#[path = "support/pool.rs"]
+mod pool;
+
 use std::sync::Arc;
 
 use distsim::{run_ranks, Communicator, DistCsr};
+use pool::pool_guard;
 use proptest::prelude::*;
 use sparse::{block_row_partition, laplace2d_5pt, laplace2d_9pt, Csr};
 use ssgmres::{BlockOptions, GmresConfig, Identity, OrthoKind, SStepGmres};
-
-struct ThreadGuard;
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        parkit::set_num_threads(0);
-    }
-}
 
 /// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`
 /// (comma-separated), the same hook the CI test matrix drives.
@@ -88,6 +85,7 @@ proptest! {
         s in 3usize..6,
         scheme in 0usize..2,
     ) {
+        let _pool = pool_guard();
         let loose = loose % k;
         let a = laplace2d_9pt(nx, nx);
         let n = a.nrows();
@@ -179,7 +177,7 @@ proptest! {
             ortho: OrthoKind::TwoStage { big_panel: 18 },
             ..GmresConfig::default()
         });
-        let _guard = ThreadGuard;
+        let _pool = pool_guard();
         let mut baseline: Option<Schedule> = None;
         for threads in [1usize, 2, 4] {
             parkit::set_num_threads(threads);
@@ -197,6 +195,7 @@ proptest! {
 
 #[test]
 fn deflation_schedule_is_deterministic_across_rank_counts() {
+    let _pool = pool_guard();
     let (nx, ny) = (14, 14);
     let a = laplace2d_9pt(nx, ny);
     let n = a.nrows();

@@ -80,10 +80,10 @@ fn streamed_assembly_solve_is_bitwise_identical_to_replicated() {
             let dist = DistCsr::from_global(comm.clone(), &a, &part);
             let mut x_rep = vec![0.0; hi - lo];
             let rep = solver.solve(&dist, &Identity, &b[lo..hi], &mut x_rep);
-            // Streamed path through the solver's row-provider constructor.
+            // Streamed path: the operator assembled from the row provider.
+            let dist_str = DistCsr::from_row_source(comm, &part, &rows);
             let mut x_str = vec![0.0; hi - lo];
-            let streamed =
-                solver.solve_from_rows(comm, &part, &rows, &Identity, &b[lo..hi], &mut x_str);
+            let streamed = solver.solve(&dist_str, &Identity, &b[lo..hi], &mut x_str);
             assert_eq!(x_rep, x_str, "solutions must be bitwise identical");
             assert_eq!(rep.iterations, streamed.iterations);
             assert_eq!(rep.comm_total, streamed.comm_total);
