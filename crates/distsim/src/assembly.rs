@@ -20,7 +20,7 @@
 //!    that is the send plan, and because every list is sorted the send
 //!    order matches the receiver's ghost order by construction.
 //!
-//! [`normalize_local_block`] then remaps the local block's columns to the
+//! `normalize_local_block` then remaps the local block's columns to the
 //! `[owned | ghost]` layout.  Both steps are deterministic and independent
 //! of how the rows were produced, so a streamed matrix is **bitwise
 //! identical** to a replicated one (`tests/assembly_properties.rs` pins

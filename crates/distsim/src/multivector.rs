@@ -364,7 +364,7 @@ impl DistMultiVector {
     /// and diagnostic helper — O(n·c) words, not for hot paths).
     ///
     /// Requires every rank to own the same number of rows or the layouts
-    /// produced by [`from_matrix`]/`block_row_partition`; rows are
+    /// produced by [`Self::from_matrix`]/`block_row_partition`; rows are
     /// reassembled by each rank's `row_offset`.
     pub fn gather_global(&self) -> Matrix {
         let size = self.comm.size();

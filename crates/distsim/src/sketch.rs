@@ -5,11 +5,11 @@
 //! CountSketch/sparse-sign family: each of the `c` sketch rows is the
 //! signed sum of [`SKETCH_NNZ_PER_ROW`] sampled global rows, scaled by
 //! `1/√nnz`.  The sample table is derived *per sketch row* from a seeded
-//! [`rand_shim`] stream keyed on the global row count, so every rank
+//! [`rand`] stream keyed on the global row count, so every rank
 //! reconstructs the identical operator from `(seed, n, c)` alone — no
 //! setup communication, no dependence on the partition.
 //!
-//! Applying `S` to a column panel of a [`DistMultiVector`] is local except
+//! Applying `S` to a column panel of a [`crate::DistMultiVector`] is local except
 //! for **one small allreduce** (Θ(c·s) words, counted in [`CommStats`]
 //! like every collective): each rank fills the slots of the samples it
 //! owns, the reduce merges the slot table, and every rank then combines

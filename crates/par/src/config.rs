@@ -4,11 +4,35 @@
 //! 1. a value set programmatically with [`set_num_threads`],
 //! 2. the `TWOSTAGE_NUM_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! The environment variable and the hardware thread count are read once per
+//! process, on first use.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// 0 means "not set"; resolved lazily on first use.
+/// 0 means "not set": fall back to the cached default.
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// The hardware thread count ([`std::thread::available_parallelism`]),
+/// read once per process.
+pub(crate) fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The automatic default, resolved once: `TWOSTAGE_NUM_THREADS` if it holds
+/// a positive integer, else the hardware thread count.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("TWOSTAGE_NUM_THREADS")
+            .ok()
+            .and_then(|value| value.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(hardware_threads)
+    })
+}
 
 /// Override the number of worker threads used by all parallel regions.
 ///
@@ -21,20 +45,10 @@ pub fn set_num_threads(n: usize) {
 
 /// The maximum number of worker threads a parallel region may use.
 pub fn max_threads() -> usize {
-    let configured = NUM_THREADS.load(Ordering::Relaxed);
-    if configured > 0 {
-        return configured;
+    match NUM_THREADS.load(Ordering::Relaxed) {
+        0 => default_threads(),
+        configured => configured,
     }
-    if let Ok(value) = std::env::var("TWOSTAGE_NUM_THREADS") {
-        if let Ok(parsed) = value.trim().parse::<usize>() {
-            if parsed > 0 {
-                return parsed;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// The number of threads to actually use for a problem of `len` work items.
@@ -47,15 +61,15 @@ pub fn num_threads_for(len: usize) -> usize {
         return 1;
     }
     // Require a minimum grain per thread so tiny kernels (e.g. s-by-s
-    // triangular updates) stay serial instead of paying spawn overhead.
+    // triangular updates) stay serial instead of paying dispatch overhead.
     const MIN_GRAIN: usize = 1024;
     let by_grain = len.div_ceil(MIN_GRAIN).max(1);
     by_grain.min(max_threads()).max(1)
 }
 
 /// Like [`num_threads_for`], but sized from cache geometry instead of item
-/// count: each thread's chunk must cover at least [`MIN_GRAIN_BYTES`] of
-/// traversed data (`len * bytes_per_item`).
+/// count: each thread's chunk must cover at least 128 KiB of traversed data
+/// (`len * bytes_per_item`).
 ///
 /// The row-blocked `dense` kernels use this with `bytes_per_item` = bytes
 /// per matrix row actually touched, so a panel with few columns is split
@@ -100,10 +114,11 @@ mod tests {
     #[test]
     fn override_is_respected_and_resettable() {
         let _guard = test_override_lock();
+        let default = max_threads();
         set_num_threads(3);
         assert_eq!(max_threads(), 3);
         set_num_threads(0);
-        assert!(max_threads() >= 1);
+        assert_eq!(max_threads(), default);
     }
 
     #[test]

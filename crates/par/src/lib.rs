@@ -2,11 +2,10 @@
 //!
 //! This crate provides the minimal data-parallel substrate used by every
 //! compute kernel in the two-stage GMRES reproduction: chunked parallel
-//! `for` loops over index ranges and mutable slices, and parallel
-//! map-reduce.  It is deliberately small — the kernels in this workspace
+//! `for` loops over mutable slices and row ranges, and chunk-ordered
+//! reductions.  It is deliberately small — the kernels in this workspace
 //! only need "split the rows into `p` contiguous chunks and run them on
-//! `p` threads" style parallelism, which maps directly onto
-//! `std::thread::scope`.
+//! `p` lanes" style parallelism.
 //!
 //! Design points (following the HPC-Rust guidance used for this project):
 //!
@@ -19,22 +18,24 @@
 //!   lanes in deterministic contiguous ownership bands (with stealing for
 //!   balance), so the same lane touches the same row ranges across
 //!   successive kernel calls and panels stay hot in its core's cache.
-//!   Nested or concurrent submissions (e.g. from simulated `distsim`
-//!   ranks) transparently fall back to scoped spawns, so any thread may
-//!   open a parallel region at any time.
+//!   The pool serves one region at a time: a region opened while another
+//!   is in flight (e.g. by a second simulated `distsim` rank) or from
+//!   inside a pooled chunk runs inline, chunk by chunk in index order, on
+//!   the calling thread, so any thread may open a parallel region at any
+//!   time.
 //! * **Deterministic chunking.**  A given `(len, nthreads)` pair always
 //!   produces the same chunk boundaries, and reductions combine per-chunk
-//!   partials in chunk order, so results do not depend on which pool lane
-//!   ran which chunk and runs are reproducible.  Band ownership and
-//!   stealing move *execution*, never chunk identity.
+//!   partials in chunk order, so results do not depend on which thread
+//!   ran which chunk and runs are reproducible.  Band ownership, stealing
+//!   and inline execution move *execution*, never chunk identity.
 //! * **Configurable thread count.**  The number of chunks a region is split
 //!   into defaults to the available parallelism and can be overridden with
-//!   the `TWOSTAGE_NUM_THREADS` environment variable or programmatically
-//!   via [`set_num_threads`]; the pool itself is sized once at first use
-//!   ([`pool_lanes`] reports it).
+//!   the `TWOSTAGE_NUM_THREADS` environment variable (read once, at first
+//!   use) or programmatically via [`set_num_threads`]; the pool itself is
+//!   sized once at first use ([`pool_lanes`] reports it).
 //!
 //! ```
-//! use parkit::{parallel_for_chunks, parallel_map_reduce};
+//! use parkit::{parallel_for_chunks, parallel_reduce_chunks};
 //!
 //! let mut v = vec![0.0f64; 1000];
 //! parallel_for_chunks(&mut v, |chunk, offset| {
@@ -42,8 +43,8 @@
 //!         *x = (offset + i) as f64;
 //!     }
 //! });
-//! let sum = parallel_map_reduce(0..1000, 0.0f64, |i| i as f64, |a, b| a + b);
-//! assert_eq!(sum, v.iter().sum::<f64>());
+//! let sum = parallel_reduce_chunks(&v, 0.0, |c, _| c.iter().sum::<f64>(), |a, b| a + b);
+//! assert_eq!(sum, 499_500.0);
 //! ```
 
 mod chunk;
@@ -54,15 +55,9 @@ mod reduce;
 
 pub use chunk::{chunk_ranges, ChunkRange};
 pub use config::{max_threads, num_threads_for, num_threads_for_bytes, set_num_threads};
-pub use parallel::{
-    parallel_for_chunks, parallel_for_chunks_with, parallel_for_range, parallel_for_range_bytes,
-    parallel_join, parallel_zip_chunks,
-};
+pub use parallel::{parallel_for_chunks, parallel_for_range_bytes, parallel_zip_chunks};
 pub use pool::pool_lanes;
-pub use reduce::{
-    parallel_map_reduce, parallel_reduce_chunks, parallel_reduce_ranges,
-    parallel_reduce_ranges_bytes, parallel_sum,
-};
+pub use reduce::{parallel_reduce_chunks, parallel_reduce_ranges_bytes};
 
 #[cfg(test)]
 mod tests {
@@ -76,7 +71,7 @@ mod tests {
                 *x = (offset + i) as f64;
             }
         });
-        let sum = parallel_map_reduce(0..1000, 0.0f64, |i| i as f64, |a, b| a + b);
-        assert_eq!(sum, v.iter().sum::<f64>());
+        let sum = parallel_reduce_chunks(&v, 0.0, |c, _| c.iter().sum::<f64>(), |a, b| a + b);
+        assert_eq!(sum, 499_500.0);
     }
 }

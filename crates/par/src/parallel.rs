@@ -37,64 +37,17 @@ where
     });
 }
 
-/// Like [`parallel_for_chunks`] but each worker first builds per-chunk
-/// state with `init()` and passes it to its `body`.
-///
-/// This is the idiom for kernels that need scratch buffers (e.g. a local
-/// Gram-matrix accumulator) without allocating inside the hot loop.
-pub fn parallel_for_chunks_with<T, S, I, F>(data: &mut [T], init: I, body: F)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    S: Send,
-    F: Fn(&mut S, &mut [T], usize) + Sync,
-{
-    let len = data.len();
-    let nthreads = num_threads_for(len);
-    if nthreads <= 1 {
-        let mut state = init();
-        body(&mut state, data, 0);
-        return;
-    }
-    let ranges = chunk_ranges(len, nthreads);
-    let base = SendPtr(data.as_mut_ptr());
-    run_chunks(ranges.len(), &|i| {
-        let r = ranges[i];
-        // SAFETY: chunk ranges are disjoint and within `data`.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()) };
-        let mut state = init();
-        body(&mut state, chunk, r.start);
-    });
-}
-
-/// Run `body(start, end)` over contiguous sub-ranges of `0..len` in parallel.
-///
-/// Useful when the body indexes several shared read-only arrays rather than
-/// a single mutable slice (e.g. SpMV reading the matrix and writing disjoint
-/// rows of the output through raw chunking done by the caller).
-pub fn parallel_for_range<F>(len: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    for_range_nthreads(len, num_threads_for(len), body)
-}
-
-/// [`parallel_for_range`] with the chunk count derived from cache geometry
+/// Run `body(start, end)` over contiguous sub-ranges of `0..len` in
+/// parallel, with the chunk count derived from cache geometry
 /// (`bytes_per_item` = bytes one index traverses; see
-/// [`num_threads_for_bytes`]).  Used by the row-blocked `dense` kernels so
-/// chunk sizes track the memory actually streamed rather than the lane
-/// count.
+/// [`num_threads_for_bytes`]).  Used by the row-blocked `dense` kernels,
+/// whose bodies index shared column-major storage by row range, so chunk
+/// sizes track the memory actually streamed rather than the lane count.
 pub fn parallel_for_range_bytes<F>(len: usize, bytes_per_item: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
 {
-    for_range_nthreads(len, num_threads_for_bytes(len, bytes_per_item), body)
-}
-
-fn for_range_nthreads<F>(len: usize, nthreads: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
+    let nthreads = num_threads_for_bytes(len, bytes_per_item);
     if nthreads <= 1 {
         if len > 0 {
             body(0, len);
@@ -106,22 +59,6 @@ where
         let r = ranges[i];
         body(r.start, r.end);
     });
-}
-
-/// Run two independent closures in parallel and return both results.
-pub fn parallel_join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        let ra = handle.join().expect("parallel_join worker panicked");
-        (ra, rb)
-    })
 }
 
 /// Run `body(out_chunk, in_chunk, offset)` over aligned chunks of an output
@@ -184,41 +121,18 @@ mod tests {
     }
 
     #[test]
-    fn for_chunks_with_builds_state_per_worker() {
-        let mut v = vec![1.0f64; 4096];
-        parallel_for_chunks_with(
-            &mut v,
-            || vec![0.0f64; 4],
-            |scratch, chunk, _| {
-                scratch[0] = 2.0;
-                for x in chunk.iter_mut() {
-                    *x *= scratch[0];
-                }
-            },
-        );
-        assert!(v.iter().all(|&x| x == 2.0));
-    }
-
-    #[test]
     fn for_range_covers_whole_range() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
-        parallel_for_range(12_345, |start, end| {
+        parallel_for_range_bytes(123_456, 8, |start, end| {
             counter.fetch_add(end - start, Ordering::Relaxed);
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 12_345);
+        assert_eq!(counter.load(Ordering::Relaxed), 123_456);
     }
 
     #[test]
     fn for_range_empty_is_noop() {
-        parallel_for_range(0, |_, _| panic!("must not be called"));
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = parallel_join(|| 21 * 2, || "ok".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
+        parallel_for_range_bytes(0, 8, |_, _| panic!("must not be called"));
     }
 
     #[test]
@@ -244,25 +158,50 @@ mod tests {
 
     #[test]
     fn nested_regions_complete() {
-        // A body that itself opens a parallel region must not deadlock: the
-        // inner submission falls back to scoped spawns.
+        // A body that itself opens a parallel region must not deadlock: a
+        // region opened inside a pooled chunk runs inline, in index order,
+        // on the thread running that chunk.  An outer chunk seen off the
+        // test thread proves the outer region was pooled; retry until so.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Mutex;
         let _guard = crate::config::test_override_lock();
         crate::set_num_threads(4);
+        let me = std::thread::current().id();
+        let pooled = AtomicBool::new(false);
         let mut outer = vec![0.0f64; 8192];
-        parallel_for_chunks(&mut outer, |chunk, offset| {
-            let mut inner = vec![0usize; 4096];
-            parallel_for_chunks(&mut inner, |c, o| {
-                for (i, x) in c.iter_mut().enumerate() {
-                    *x = o + i;
+        let mut inner_runs = Vec::new();
+        while !pooled.load(Ordering::Relaxed) {
+            let runs = Mutex::new(Vec::new());
+            parallel_for_chunks(&mut outer, |chunk, offset| {
+                let here = std::thread::current().id();
+                if here != me {
+                    pooled.store(true, Ordering::Relaxed);
+                }
+                let order = Mutex::new(Vec::new());
+                let mut inner = vec![0usize; 4096];
+                parallel_for_chunks(&mut inner, |c, o| {
+                    order.lock().unwrap().push((std::thread::current().id(), o));
+                    for (i, x) in c.iter_mut().enumerate() {
+                        *x = o + i;
+                    }
+                });
+                runs.lock()
+                    .unwrap()
+                    .push((here, order.into_inner().unwrap()));
+                for (i, x) in chunk.iter_mut().enumerate() {
+                    *x = (offset + i) as f64 + inner[0] as f64;
                 }
             });
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = (offset + i) as f64 + inner[0] as f64;
-            }
-        });
+            inner_runs = runs.into_inner().unwrap();
+        }
         crate::set_num_threads(0);
         for (i, &x) in outer.iter().enumerate() {
             assert_eq!(x, i as f64);
+        }
+        assert_eq!(inner_runs.len(), 4);
+        for (here, order) in inner_runs {
+            let expect: Vec<_> = [0, 1024, 2048, 3072].map(|o| (here, o)).into();
+            assert_eq!(order, expect);
         }
     }
 }

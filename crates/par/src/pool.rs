@@ -1,10 +1,9 @@
 //! The persistent worker pool behind every parallel region.
 //!
 //! Workers are spawned once (lazily, on the first parallel call) and then
-//! dispatched to with a generation-counted protocol instead of the
-//! per-region `std::thread::scope` spawns the crate started with — inside
-//! the GMRES inner loop a kernel launch costs a handful of atomic stores
-//! and targeted `unpark`s instead of an OS thread creation.
+//! dispatched to with a generation-counted protocol — inside the GMRES
+//! inner loop a kernel launch costs a handful of atomic stores and
+//! targeted `unpark`s instead of an OS thread creation.
 //!
 //! Dispatch protocol (one "job" = one parallel region of `nchunks` chunks):
 //!
@@ -42,20 +41,23 @@
 //! deterministic because partial results are combined in chunk order by
 //! the caller.
 //!
-//! If the pool is busy (a second thread — e.g. a simulated `distsim` rank —
-//! submits while a region is in flight) or a region is re-entered from
-//! inside a pooled worker, submission falls back to the original scoped
-//! spawn path, which is always safe.
+//! When the pool cannot take a region — it has no workers, another thread
+//! (e.g. a second simulated `distsim` rank) has a region in flight, or the
+//! region is opened from inside a pooled chunk — the calling thread runs
+//! every chunk itself, in index order.  That is the only other execution
+//! path, and for the reason above it changes which thread runs a chunk,
+//! never a result.
 
-use crate::config::max_threads;
+use crate::config::{hardware_threads, max_threads};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::Thread;
 
 /// Minimum number of execution lanes (workers + submitter) the pool is
-/// created with, so raising `TWOSTAGE_NUM_THREADS` after startup still
-/// finds live workers.
+/// created with, so a thread count raised with `set_num_threads` after the
+/// pool exists still finds live workers.  (`TWOSTAGE_NUM_THREADS` is read
+/// once, before the pool is sized.)
 const MIN_LANES: usize = 8;
 
 /// Spins on the generation word before parking (worker side): long enough
@@ -121,8 +123,8 @@ struct Pool {
     /// misses).
     done_lock: Mutex<()>,
     done: Condvar,
-    /// Serializes job submission; `try_lock` failure routes concurrent
-    /// submitters to the scoped fallback.
+    /// Serializes job submission; a submitter whose `try_lock` fails runs
+    /// its region inline on its own thread.
     submit: Mutex<()>,
 }
 
@@ -130,9 +132,7 @@ static POOL: OnceLock<&'static Pool> = OnceLock::new();
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
-        let lanes = max_threads()
-            .max(std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(MIN_LANES);
+        let lanes = max_threads().max(hardware_threads()).max(MIN_LANES);
         let pool: &'static Pool = Box::leak(Box::new(Pool {
             workers: AtomicUsize::new(0),
             gen_word: AtomicU64::new(0),
@@ -273,39 +273,24 @@ fn worker_loop(pool: &'static Pool, lane: usize) {
     }
 }
 
-/// Scoped-spawn fallback used when the pool is busy (nested or concurrent
-/// submission) — the original per-region implementation.
-fn run_scoped(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
-    let _span = trace::span1("pool", "scoped", "nchunks", nchunks as u64);
-    std::thread::scope(|scope| {
-        for i in 1..nchunks {
-            scope.spawn(move || body(i));
-        }
-        body(0);
-    });
-}
-
 /// Execute `body(0..nchunks)` with each chunk index run exactly once,
-/// distributed over the persistent pool (the calling thread participates).
-/// Returns after every chunk has completed.
+/// distributed over the persistent pool (the calling thread participates),
+/// or, when the pool cannot take the region, in index order on the calling
+/// thread.  Returns after every chunk has completed.
 pub(crate) fn run_chunks(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
-    if nchunks == 0 {
-        return;
-    }
-    if nchunks == 1 {
-        body(0);
-        return;
-    }
     let pool = pool();
     let workers = pool.workers.load(Ordering::Relaxed);
-    if workers == 0 {
+    let submit_guard = if nchunks > 1 && workers > 0 {
+        pool.submit.try_lock().ok()
+    } else {
+        None
+    };
+    let Some(submit_guard) = submit_guard else {
+        let _span = trace::span1("pool", "inline", "nchunks", nchunks as u64);
         for i in 0..nchunks {
             body(i);
         }
         return;
-    }
-    let Ok(submit_guard) = pool.submit.try_lock() else {
-        return run_scoped(nchunks, body);
     };
     let t_dispatch = trace::enabled().then(trace::now_ns);
     let participants = nchunks.min(workers + 1);
@@ -421,6 +406,7 @@ impl<T> Copy for SendPtr<T> {}
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
     #[test]
     fn every_chunk_runs_exactly_once() {
@@ -484,7 +470,7 @@ mod tests {
     #[test]
     fn concurrent_submitters_all_complete() {
         // Simulated distsim ranks submit in parallel; losers of the submit
-        // race must fall back and still finish.
+        // race run their regions inline and still finish.
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -496,6 +482,48 @@ mod tests {
                 });
             }
         });
+
+        // A submitter that finds the pool busy runs every chunk on its own
+        // thread, in index order.  The holder's chunk 1 (the submitter's
+        // own band) waits until chunk 0 is claimed, so in a pooled region
+        // worker 0 runs chunk 0 and keeps the region in flight (and the
+        // submit lock taken) until the second submitter is done.  Chunk 0
+        // on the holder's thread means the region ran inline (another
+        // test held the pool): retry.
+        let held = Barrier::new(2);
+        let released = Barrier::new(2);
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let holder = std::thread::current().id();
+                let on_worker = AtomicBool::new(false);
+                while !on_worker.load(Ordering::Acquire) {
+                    let started = AtomicBool::new(false);
+                    run_chunks(2, &|i| {
+                        if i == 1 {
+                            while !started.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                        } else {
+                            started.store(true, Ordering::Release);
+                            if std::thread::current().id() != holder {
+                                on_worker.store(true, Ordering::Release);
+                                held.wait();
+                                released.wait();
+                            }
+                        }
+                    });
+                }
+            });
+            held.wait();
+            run_chunks(16, &|i| {
+                order.lock().unwrap().push((std::thread::current().id(), i));
+            });
+            released.wait();
+        });
+        let me = std::thread::current().id();
+        let expect: Vec<_> = (0..16).map(|i| (me, i)).collect();
+        assert_eq!(order.into_inner().unwrap(), expect);
     }
 
     #[test]

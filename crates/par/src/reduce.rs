@@ -7,38 +7,24 @@
 //! are combined tree-style; that difference is within the usual rounding
 //! bounds and is deterministic run to run).
 //!
-//! [`parallel_reduce_ranges`] is the single primitive every other reduction
-//! (and the blocked `dense` kernels' Gram/GEMM accumulations) is built on:
-//! one code path computes per-chunk partials on the pool and folds them in
-//! chunk order.
+//! Both public reductions share one code path: per-chunk partials computed
+//! on the pool, folded in chunk order.
 
 use crate::chunk::chunk_ranges;
 use crate::config::{num_threads_for, num_threads_for_bytes};
 use crate::pool::{run_chunks, SendPtr};
-use std::ops::Range;
 
-/// Parallel reduction over contiguous index sub-ranges of `0..len`.
+/// Parallel reduction over contiguous index sub-ranges of `0..len`, with
+/// the chunk count derived from cache geometry.
 ///
 /// `map_range(start, end)` produces one partial result per chunk; the
 /// partials are combined with `combine` in chunk order starting from
-/// `identity`, so the result is deterministic for a given `(len, threads)`
-/// pair.  This is the reduction primitive the row-blocked matrix kernels
-/// use: the body indexes shared column-major storage by global row range
-/// rather than receiving a flat slice.
-pub fn parallel_reduce_ranges<T, M, C>(len: usize, identity: T, map_range: M, combine: C) -> T
-where
-    T: Send,
-    M: Fn(usize, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    reduce_ranges_nthreads(len, num_threads_for(len), identity, map_range, combine)
-}
-
-/// [`parallel_reduce_ranges`] with the chunk count derived from cache
-/// geometry: `bytes_per_item` is the number of bytes one index of `0..len`
-/// traverses (for a row-blocked panel kernel, 8 bytes per column touched),
-/// and each chunk covers at least the byte grain documented on
-/// [`num_threads_for_bytes`].  Deterministic for a fixed
+/// `identity`.  `bytes_per_item` is the number of bytes one index of
+/// `0..len` traverses (for a row-blocked panel kernel, 8 bytes per column
+/// touched), and each chunk covers at least the byte grain documented on
+/// [`num_threads_for_bytes`].  This is the reduction primitive the
+/// row-blocked matrix kernels use: the body indexes shared column-major
+/// storage by global row range.  Deterministic for a fixed
 /// `(len, bytes_per_item, max_threads)` triple.
 pub fn parallel_reduce_ranges_bytes<T, M, C>(
     len: usize,
@@ -91,60 +77,17 @@ where
     });
     let mut acc = identity;
     for p in partials {
-        acc = combine(
-            acc,
-            p.expect("parallel_reduce_ranges: missing chunk partial"),
-        );
+        acc = combine(acc, p.expect("parkit: missing chunk partial"));
     }
     acc
-}
-
-/// Parallel map-reduce over an index range.
-///
-/// Each index `i` in `range` is mapped with `map(i)` and the results are
-/// folded with `combine`, starting from `identity` within each chunk and then
-/// across chunks in chunk order.
-pub fn parallel_map_reduce<T, M, C>(range: Range<usize>, identity: T, map: M, combine: C) -> T
-where
-    T: Send,
-    M: Fn(usize) -> T + Sync,
-    C: Fn(T, T) -> T + Sync,
-{
-    let len = range.end.saturating_sub(range.start);
-    let start0 = range.start;
-    // Chunks fold without an identity (chunk ranges are never empty), so
-    // `T` does not need to be `Sync`; the caller's identity seeds only the
-    // final chunk-order fold.
-    let folded = parallel_reduce_ranges(
-        len,
-        None::<T>,
-        |start, end| {
-            let mut acc: Option<T> = None;
-            for i in start0 + start..start0 + end {
-                let v = map(i);
-                acc = Some(match acc {
-                    Some(a) => combine(a, v),
-                    None => v,
-                });
-            }
-            acc
-        },
-        |a, b| match (a, b) {
-            (Some(x), Some(y)) => Some(combine(x, y)),
-            (x, None) => x,
-            (None, y) => y,
-        },
-    );
-    match folded {
-        Some(p) => combine(identity, p),
-        None => identity,
-    }
 }
 
 /// Parallel reduction over contiguous chunks of a read-only slice.
 ///
 /// `map_chunk(chunk, offset)` produces one partial result per chunk; the
-/// partials are combined in chunk order.
+/// partials are combined with `combine` in chunk order starting from
+/// `identity`, so the result is deterministic for a given
+/// `(data.len(), max_threads)` pair.
 pub fn parallel_reduce_chunks<T, U, M, C>(data: &[U], identity: T, map_chunk: M, combine: C) -> T
 where
     T: Send,
@@ -152,21 +95,12 @@ where
     M: Fn(&[U], usize) -> T + Sync,
     C: Fn(T, T) -> T,
 {
-    parallel_reduce_ranges(
+    reduce_ranges_nthreads(
         data.len(),
+        num_threads_for(data.len()),
         identity,
         |start, end| map_chunk(&data[start..end], start),
         combine,
-    )
-}
-
-/// Parallel sum of a slice of `f64`.
-pub fn parallel_sum(data: &[f64]) -> f64 {
-    parallel_reduce_chunks(
-        data,
-        0.0,
-        |chunk, _| chunk.iter().sum::<f64>(),
-        |a, b| a + b,
     )
 }
 
@@ -174,31 +108,20 @@ pub fn parallel_sum(data: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn map_reduce_matches_serial() {
-        let serial: u64 = (0..100_000u64).map(|i| i * i).sum();
-        let par = parallel_map_reduce(0..100_000, 0u64, |i| (i as u64) * (i as u64), |a, b| a + b);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn map_reduce_empty_range_is_identity() {
-        let r = parallel_map_reduce(10..10, 7i64, |_| 1, |a, b| a + b);
-        assert_eq!(r, 7);
-    }
-
-    #[test]
-    fn map_reduce_respects_range_start() {
-        let par = parallel_map_reduce(5_000..10_000, 0u64, |i| i as u64, |a, b| a + b);
-        let serial: u64 = (5_000..10_000u64).sum();
-        assert_eq!(par, serial);
+    fn sum(data: &[f64]) -> f64 {
+        parallel_reduce_chunks(
+            data,
+            0.0,
+            |chunk, _| chunk.iter().sum::<f64>(),
+            |a, b| a + b,
+        )
     }
 
     #[test]
     fn reduce_chunks_matches_iter_sum() {
         let data: Vec<f64> = (0..50_000).map(|i| (i % 17) as f64 * 0.25).collect();
         let expect: f64 = data.iter().sum();
-        let got = parallel_sum(&data);
+        let got = sum(&data);
         assert!((got - expect).abs() <= 1e-9 * expect.abs().max(1.0));
     }
 
@@ -226,8 +149,9 @@ mod tests {
     fn reduce_ranges_covers_whole_range_in_order() {
         // Collect the visited ranges; combined in chunk order they must
         // tile 0..len exactly.
-        let tiles = parallel_reduce_ranges(
-            12_345,
+        let tiles = parallel_reduce_ranges_bytes(
+            123_456,
+            8,
             Vec::new(),
             |start, end| vec![(start, end)],
             |mut a, b| {
@@ -236,7 +160,7 @@ mod tests {
             },
         );
         assert_eq!(tiles.first().unwrap().0, 0);
-        assert_eq!(tiles.last().unwrap().1, 12_345);
+        assert_eq!(tiles.last().unwrap().1, 123_456);
         for w in tiles.windows(2) {
             assert_eq!(w[0].1, w[1].0, "ranges must be adjacent and ordered");
         }
@@ -244,7 +168,8 @@ mod tests {
 
     #[test]
     fn reduce_ranges_empty_is_identity() {
-        let r = parallel_reduce_ranges(0, 42i32, |_, _| panic!("must not run"), |a, b| a + b);
+        let r =
+            parallel_reduce_ranges_bytes(0, 8, 42i32, |_, _| panic!("must not run"), |a, b| a + b);
         assert_eq!(r, 42);
     }
 
@@ -253,8 +178,8 @@ mod tests {
         let data: Vec<f64> = (0..100_000)
             .map(|i| ((i * 2654435761u64 as usize) % 1000) as f64 * 1e-3)
             .collect();
-        let a = parallel_sum(&data);
-        let b = parallel_sum(&data);
+        let a = sum(&data);
+        let b = sum(&data);
         assert_eq!(a, b);
     }
 

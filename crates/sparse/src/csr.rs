@@ -1,7 +1,5 @@
 //! Compressed sparse row (CSR) matrices and the parallel SpMV kernel.
 
-use parkit::{chunk_ranges, num_threads_for};
-
 /// A `(row, col, value)` entry used to assemble a [`Csr`] matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Triplet {
@@ -288,15 +286,11 @@ impl Csr {
 
     /// Infinity norm (maximum absolute row sum).
     pub fn inf_norm(&self) -> f64 {
-        let nthreads = num_threads_for(self.nrows);
-        let ranges = chunk_ranges(self.nrows, nthreads);
         let mut best = 0.0f64;
-        for r in ranges {
-            for i in r.start..r.end {
-                let (_, vals) = self.row(i);
-                let s: f64 = vals.iter().map(|v| v.abs()).sum();
-                best = best.max(s);
-            }
+        for i in 0..self.nrows {
+            let (_, vals) = self.row(i);
+            let s: f64 = vals.iter().map(|v| v.abs()).sum();
+            best = best.max(s);
         }
         best
     }

@@ -12,9 +12,13 @@
 //! simulated rank counts (including the `DISTSIM_TEST_RANKS` CI sweep),
 //! because every signal it reads is replicated.
 
+#[path = "support/pool.rs"]
+mod pool;
+
 use blockortho::{make_orthogonalizer, OrthoError, OrthoKind};
 use dense::Matrix;
 use distsim::{run_ranks, Communicator, DistCsr, DistMultiVector, SerialComm};
+use pool::pool_guard;
 use proptest::prelude::*;
 use sparse::{block_row_partition, elasticity3d, laplace2d_9pt, Csr};
 use ssgmres::{
@@ -371,14 +375,6 @@ fn decision_trace(r: &SolveResult) -> (Vec<(usize, Option<CycleVerdict>, usize)>
     (cycles, r.converged)
 }
 
-/// Restore the global thread-count override even if an assertion unwinds.
-struct ThreadGuard;
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        parkit::set_num_threads(0);
-    }
-}
-
 /// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`
 /// (comma-separated), the same hook the CI test matrix drives.
 fn ranks_under_test() -> Vec<usize> {
@@ -428,7 +424,7 @@ proptest! {
         let a = elasticity3d(nx, nx, nx);
         let b = rhs_ones(&a);
         let solver = SStepGmres::new(auto_config(32, s));
-        let _guard = ThreadGuard;
+        let _pool = pool_guard();
         let mut baseline = None;
         for threads in [1usize, 2, 4] {
             parkit::set_num_threads(threads);

@@ -6,7 +6,11 @@
 //! across thread-pool widths and simulated rank counts (extendable via
 //! `DISTSIM_TEST_RANKS=6,8` as in the other sweep batteries).
 
+#[path = "support/pool.rs"]
+mod pool;
+
 use distsim::{run_ranks, Communicator, DistCsr};
+use pool::pool_guard;
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -133,6 +137,7 @@ fn spans_balance_across_thread_and_rank_sweeps() {
         return;
     }
     let _guard = trace_lock();
+    let _pool = pool_guard();
     let a = laplace2d_9pt(14, 14);
     let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
     let rows = Laplace2d9ptRows { nx: 14, ny: 14 };
